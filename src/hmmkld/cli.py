@@ -8,6 +8,7 @@ reproduced exactly from the manifest. Exit codes: 0 success, 2 usage,
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .influence import LeaveOneOutImpossibleError, kld_influence, windowed_influence
-from .model import EvidenceImpossibleError, ModelError, ObservationSequence
+from .model import EvidenceImpossibleError, ModelError
 from .outliers import (
     SimulationConfig,
     empirical_auc,
@@ -27,6 +28,7 @@ from .outliers import (
 from .reference import kld_influence_naive
 from .serialize import (
     DataFormatError,
+    _fmt,
     influence_tsv,
     read_model,
     read_observations,
@@ -49,10 +51,6 @@ EXIT_NUMERIC = 4
 
 class _UsageError(Exception):
     pass
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 class _Manifest:
@@ -197,7 +195,27 @@ def _replicate_record(hypothesis, delta, index, rep) -> dict:
         "l_lof": rep.l_lof,
         "outliers": rep.outlier_positions,
         "resampled": rep.resampled,
+        "z_degenerate": rep.z_degenerate,
+        "lof_clipped": rep.lof_clipped,
     }
+
+
+def _completed_records(path: Path):
+    """Byte length of the whole lines of a scores file and their keys.
+
+    A last line without its newline was cut short by an interrupted run
+    and is not counted.
+    """
+    data = path.read_bytes()
+    kept = data[: data.rfind(b"\n") + 1]
+    done = set()
+    for lineno, line in enumerate(kept.decode(errors="replace").splitlines(), 1):
+        try:
+            rec = json.loads(line)
+            done.add((rec["hypothesis"], rec["delta"], rec["replicate"]))
+        except (json.JSONDecodeError, KeyError, TypeError):
+            raise DataFormatError(f"{path}: line {lineno}: not a replicate record")
+    return len(kept), done
 
 
 def cmd_simulate(args) -> int:
@@ -208,14 +226,13 @@ def cmd_simulate(args) -> int:
     source = read_observations(args.data)
     manifest.phase("load")
 
-    done = set()
-    existing_lines = []
     out = Path(args.out)
+    done = set()
+    mode = "w"
     if args.resume and out.exists():
-        for line in out.read_text().splitlines():
-            rec = json.loads(line)
-            done.add((rec["hypothesis"], rec["delta"], rec["replicate"]))
-            existing_lines.append(line)
+        length, done = _completed_records(out)
+        os.truncate(out, length)
+        mode = "a"
 
     def base_cfg(delta: float) -> SimulationConfig:
         return SimulationConfig(
@@ -228,27 +245,20 @@ def cmd_simulate(args) -> int:
             em_restarts=args.em_restarts,
         )
 
-    records = []
-    cfg0 = base_cfg(0.0)
-    for q in range(args.replicates):
-        if ("H0", None, q) in done:
-            continue
-        rep = simulate(cfg0, "H0", q)
-        records.append(_replicate_record("H0", None, q, rep))
-    for delta in deltas:
-        cfg = base_cfg(delta)
-        for q in range(args.replicates):
-            if ("H1", delta, q) in done:
-                continue
-            rep = simulate(cfg, "H1", q)
-            records.append(_replicate_record("H1", delta, q, rep))
+    cells = [("H0", None)] + [("H1", delta) for delta in deltas]
+    # Each record is flushed as soon as it is scored, so an interrupted
+    # run leaves every finished replicate for --resume.
+    with open(out, mode) as fh:
+        for hypothesis, delta in cells:
+            cfg = base_cfg(0.0 if delta is None else delta)
+            for q in range(args.replicates):
+                if (hypothesis, delta, q) in done:
+                    continue
+                rep = simulate(cfg, hypothesis, q)
+                record = _replicate_record(hypothesis, delta, q, rep)
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+                fh.flush()
     manifest.phase("simulate")
-
-    lines = existing_lines + [
-        json.dumps(rec, sort_keys=True) for rec in records
-    ]
-    out.write_text("\n".join(lines) + "\n")
-    manifest.phase("write")
     manifest.write(_manifest_path(args, args.out))
     return EXIT_OK
 

@@ -82,15 +82,24 @@ def loo_marginal(star: StarForward, fb: ForwardBackward, j: int) -> np.ndarray:
     return prod / total
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """sum p log(p/q) with 0 log(0/q) = 0 and p log(p/0) = +inf (never NaN)."""
-    mask = p > 0
-    if np.any(q[mask] == 0.0):
-        return float("inf")
-    ps = p[mask]
-    # log(ps) - log(qs) rather than log(ps/qs): the ratio can overflow
-    # when qs underflows toward the denormal range.
-    return float(np.dot(ps, np.log(ps) - np.log(q[mask])))
+def kl_divergence(p, q):
+    """Relative entropy sum p log(p/q) over the last axis of two (..., m) arrays.
+
+    0 log(0/q) = 0 and p log(p/0) = +inf; a NaN entry in a row makes that
+    row's result NaN. Returns a float for 1-D input and an array of shape
+    ``p.shape[:-1]`` otherwise.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    # log(p) - log(q) rather than log(p/q): the ratio can overflow when q
+    # underflows toward the denormal range. Where p = 0 the term is 0 * q,
+    # which is 0 but keeps a NaN in q.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p == 0.0, 0.0 * q, p * (np.log(p) - np.log(q)))
+    # The divergence is never negative (Gibbs' inequality); a negative sum
+    # of nearly cancelling terms is rounding error. NaN passes through.
+    total = np.maximum(terms.sum(axis=-1), 0.0)
+    return float(total) if total.ndim == 0 else total
 
 
 def kld_influence(
@@ -117,7 +126,7 @@ def kld_influence(
 
 
 def _row_normalized(mat: np.ndarray) -> np.ndarray:
-    return mat / mat.sum(axis=1, keepdims=True)
+    return mat / mat.sum(axis=-1, keepdims=True)
 
 
 def windowed_influence(
@@ -131,7 +140,8 @@ def windowed_influence(
     sub-chain laws. That is computed by the chain rule: divergence of the
     initial window marginal plus expected divergences of the successive
     transition kernels, using emission-free backward propagation inside
-    the window. Cost is O(h m^2) per window position.
+    the window. Cost is O(h m^2) per window position; every step below
+    works on all windows at once.
     """
     n = len(obs)
     if not 1 <= h <= n:
@@ -140,37 +150,35 @@ def windowed_influence(
     star = forward_star(model, fb)
     marg = posterior_marginals(fb)
     alpha = model.transition
-    w = fb.scaled_weights()
     num_windows = n - h + 1
-    k = np.empty(num_windows)
-    for j in range(num_windows):
-        last = j + h - 1
-        # Emission-free backward vectors inside the window, scaled by max.
-        hvec = [None] * h
-        hvec[h - 1] = fb.bwd[last]
-        for t in range(h - 2, -1, -1):
-            v = alpha @ hvec[t + 1]
-            hvec[t] = v / v.max()
-        # Initial marginals of the two sub-chain laws at position j.
-        p_star = star.fstar[j] * hvec[0]
-        total = p_star.sum()
-        if total == 0.0:
-            raise LeaveOneOutImpossibleError(
-                f"impossible leave-out evidence for window at index {j}"
-            )
-        p_star = p_star / total
-        total_k = kl_divergence(p_star, marg[j])
-        m_star = p_star
-        for t in range(h - 1):
-            i = j + t
-            kernel_star = _row_normalized(alpha * hvec[t + 1][None, :])
-            kernel_full = _row_normalized(alpha * (w[i + 1] * fb.bwd[i + 1])[None, :])
-            for s in range(model.num_states):
-                if m_star[s] > 0:
-                    total_k += m_star[s] * kl_divergence(
-                        kernel_star[s], kernel_full[s]
-                    )
-            m_star = m_star @ kernel_star
-        k[j] = total_k
+    # hvec[t, j]: emission-free backward vector at offset t of the window
+    # starting at j, scaled by its max.
+    hvec = np.empty((h, num_windows, model.num_states))
+    hvec[h - 1] = fb.bwd[h - 1 :]
+    for t in range(h - 2, -1, -1):
+        v = hvec[t + 1] @ alpha.T
+        hvec[t] = v / v.max(axis=1, keepdims=True)
+    # Initial marginals of the two sub-chain laws at each window start.
+    p_star = star.fstar[:num_windows] * hvec[0]
+    total = p_star.sum(axis=1, keepdims=True)
+    if np.any(total == 0.0):
+        j = int(np.argmax(total[:, 0] == 0.0))
+        raise LeaveOneOutImpossibleError(
+            f"impossible leave-out evidence for window at index {j}"
+        )
+    m_star = p_star / total
+    k = kl_divergence(m_star, marg[:num_windows])
+    # Full-evidence transition kernel into each index i + 1, shared by
+    # every window that covers i.
+    kernel_full = _row_normalized(
+        alpha * (fb.scaled_weights() * fb.bwd)[1:, None, :]
+    )
+    for t in range(h - 1):
+        kernel_star = _row_normalized(alpha * hvec[t + 1][:, None, :])
+        row_kl = kl_divergence(kernel_star, kernel_full[t : t + num_windows])
+        # States the window cannot be in add nothing, even where their
+        # kernel divergence is infinite.
+        k += np.where(m_star > 0, m_star * row_kl, 0.0).sum(axis=1)
+        m_star = (m_star[:, None, :] @ kernel_star)[:, 0, :]
     labels = obs.labels[: num_windows] if obs.labels is not None else None
     return WindowInfluenceProfile(h=h, k=k, labels=labels)

@@ -6,7 +6,7 @@ densities with state-dependent means. All probability vectors and matrix
 rows are validated to sum to one within 1e-12 at construction time.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -158,6 +158,9 @@ class ObservationSequence:
         values = np.asarray(self.values)
         if values.ndim != 1 or values.size < 1:
             raise ModelError("observations must be a non-empty 1-D sequence")
+        if not np.all(np.isfinite(values)):
+            bad = int(np.argmin(np.isfinite(values)))
+            raise ModelError(f"observation {bad} is not finite: {values[bad]}")
         if self.labels is not None and len(self.labels) != values.size:
             raise ModelError("labels length does not match values")
         object.__setattr__(self, "values", values)

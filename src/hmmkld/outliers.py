@@ -10,11 +10,10 @@ Detection power is summarized by the empirical AUC with bootstrap
 confidence intervals.
 """
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .influence import kld_influence
 from .model import ModelError, ObservationSequence
@@ -67,18 +66,12 @@ def lof_scores(points, r: int) -> np.ndarray:
     np.fill_diagonal(dist, np.inf)
 
     kdist = np.sort(dist, axis=1)[:, r - 1]
-    neighborhoods = [np.flatnonzero(dist[a] <= kdist[a]) for a in range(n)]
-
-    lrd = np.empty(n)
-    for a in range(n):
-        nb = neighborhoods[a]
-        reach = np.maximum(kdist[nb], dist[a, nb])
-        lrd[a] = 1.0 / max(reach.mean(), 1e-12)
-    lof = np.empty(n)
-    for a in range(n):
-        nb = neighborhoods[a]
-        lof[a] = (lrd[nb] / lrd[a]).mean()
-    return lof
+    # neighbors[a, b]: b lies within a's k-distance (the diagonal is inf).
+    neighbors = dist <= kdist[:, None]
+    count = neighbors.sum(axis=1)
+    reach = np.where(neighbors, np.maximum(kdist[None, :], dist), 0.0)
+    lrd = 1.0 / np.maximum(reach.sum(axis=1) / count, 1e-12)
+    return np.where(neighbors, lrd[None, :] / lrd[:, None], 0.0).sum(axis=1) / count
 
 
 @dataclass(frozen=True)
@@ -232,18 +225,27 @@ def empirical_auc(
     ci_level: float = 0.95,
     seed: int = 0,
 ) -> RocResult:
-    """Rank-based AUC (ties count one half) with bootstrap percentile CI."""
+    """AUC P(h1 > h0) + P(h1 = h0) / 2 with a bootstrap percentile CI."""
     h1 = np.asarray(scores_h1, dtype=float)
     h0 = np.asarray(scores_h0, dtype=float)
     if h1.size == 0 or h0.size == 0:
         raise ModelError("both score samples must be non-empty")
-    auc = _rank_auc(h1, h0)
+    if np.isnan(h1).any() or np.isnan(h0).any():
+        raise ModelError("scores must not be NaN")
+    distinct, codes = np.unique(np.concatenate([h1, h0]), return_inverse=True)
+    code1, code0 = codes[: h1.size], codes[h1.size :]
+    # Row 0 is the samples themselves; row b > 0 is bootstrap draw b. The
+    # draws stay one call per sample per row, in this order, because the
+    # stream they consume fixes the CI.
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
-    boot = np.empty(num_bootstrap)
-    for b in range(num_bootstrap):
-        b1 = h1[rng.integers(h1.size, size=h1.size)]
-        b0 = h0[rng.integers(h0.size, size=h0.size)]
-        boot[b] = _rank_auc(b1, b0)
+    draws1 = np.empty((num_bootstrap + 1, h1.size), dtype=np.intp)
+    draws0 = np.empty((num_bootstrap + 1, h0.size), dtype=np.intp)
+    draws1[0], draws0[0] = code1, code0
+    for b in range(1, num_bootstrap + 1):
+        draws1[b] = code1[rng.integers(h1.size, size=h1.size)]
+        draws0[b] = code0[rng.integers(h0.size, size=h0.size)]
+    aucs = _pair_count_auc(draws1, draws0, distinct.size)
+    auc, boot = aucs[0], aucs[1:]
     tail = (1.0 - ci_level) / 2.0
     lower, upper = np.quantile(boot, [tail, 1.0 - tail])
     scored = [(float(s), 1) for s in h1] + [(float(s), 0) for s in h0]
@@ -257,12 +259,22 @@ def empirical_auc(
     )
 
 
-def _rank_auc(h1: np.ndarray, h0: np.ndarray) -> float:
-    combined = np.concatenate([h1, h0])
-    ranks = rankdata(combined)
-    rank_sum = ranks[: h1.size].sum()
-    n1, n0 = h1.size, h0.size
-    return (rank_sum - n1 * (n1 + 1) / 2.0) / (n1 * n0)
+def _pair_count_auc(codes1: np.ndarray, codes0: np.ndarray, size: int) -> np.ndarray:
+    """AUC of each row of h1 and h0 score codes in [0, size), by pair counts.
+
+    From the multiplicities of row b's h0 codes, ``credit[b, c]`` is twice
+    the number of h0 scores below score c plus the number equal to it.
+    Summed over row b's h1 codes it gives twice the win count, an exact
+    integer, so every AUC is one correctly rounded division.
+    """
+    rows = codes0.shape[0]
+    flat = (codes0 + size * np.arange(rows)[:, None]).ravel()
+    m0 = np.bincount(flat, minlength=rows * size).reshape(rows, size)
+    credit = np.cumsum(m0, axis=1)
+    credit *= 2
+    credit -= m0
+    wins2 = np.take_along_axis(credit, codes1, axis=1).sum(axis=1)
+    return wins2 / (2.0 * codes1.shape[1] * codes0.shape[1])
 
 
 @dataclass
@@ -302,17 +314,7 @@ def run_benchmark(
             progress("H0", None, q)
     rows: List[BenchmarkRow] = []
     for delta in deltas:
-        delta_cfg = SimulationConfig(
-            source=cfg.source,
-            subsample_size=cfg.subsample_size,
-            contamination=cfg.contamination,
-            noise_std=float(delta),
-            replicates=cfg.replicates,
-            seed=cfg.seed,
-            num_states=cfg.num_states,
-            em_restarts=cfg.em_restarts,
-            em_max_iters=cfg.em_max_iters,
-        )
+        delta_cfg = replace(cfg, noise_std=float(delta))
         h1_reps = []
         for q in range(cfg.replicates):
             h1_reps.append(simulate(delta_cfg, "H1", q))

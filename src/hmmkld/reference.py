@@ -76,13 +76,6 @@ def enumeration_marginals(model, obs, drop=()) -> np.ndarray:
     return marg
 
 
-def _sequence_kld(p: np.ndarray, q: np.ndarray) -> float:
-    mask = p > 0
-    if np.any(q[mask] == 0.0):
-        return float("inf")
-    return float(np.dot(p[mask], np.log(p[mask] / q[mask])))
-
-
 def enumeration_influence(model, obs, window: int = 1) -> np.ndarray:
     """Full-sequence relative entropy per (window of) removed observation(s).
 
@@ -108,7 +101,7 @@ def enumeration_influence(model, obs, window: int = 1) -> np.ndarray:
         keep[:] = True
         keep[j : j + window] = False
         post_drop = _normalize_log(chain_logp + emit_terms[keep].sum(axis=0))
-        k[j] = _sequence_kld(post_drop, post_full)
+        k[j] = kl_divergence(post_drop, post_full)
     return k
 
 

@@ -89,9 +89,15 @@ class _LineReader:
                 return self.pos, line
         raise DataFormatError("unexpected end of model document")
 
-    def floats(self, count: int, what: str) -> np.ndarray:
+    def floats(self, count: int, what: str, keyword: bool = False) -> np.ndarray:
+        """The next line as ``count`` numbers; with ``keyword`` the line
+        must start with the word ``what``, which is not counted."""
         lineno, line = self.next()
         parts = line.split()
+        if keyword:
+            if parts[0] != what:
+                raise DataFormatError(f"line {lineno}: expected '{what}' row")
+            parts = parts[1:]
         try:
             values = np.array([float(p) for p in parts])
         except ValueError:
@@ -115,7 +121,7 @@ def parse_model(text: str) -> HmmModel:
         m = int(line.split()[1])
     except ValueError:
         raise DataFormatError(f"line {lineno}: state count is not an integer")
-    initial = _keyword_row(reader, "initial", m)
+    initial = reader.floats(m, "initial", keyword=True)
     lineno, line = reader.next()
     if line != "transition":
         raise DataFormatError(f"line {lineno}: expected 'transition' section")
@@ -136,32 +142,16 @@ def parse_model(text: str) -> HmmModel:
         table = np.vstack([reader.floats(k, "emission row") for _ in range(m)])
         emission = DiscreteEmission(table)
     elif tag == "gaussian_homoscedastic":
-        means = _keyword_row(reader, "means", m)
-        sigma = _keyword_row(reader, "sigma", 1)
+        means = reader.floats(m, "means", keyword=True)
+        sigma = reader.floats(1, "sigma", keyword=True)
         emission = GaussianEmission.homoscedastic(means, sigma[0])
     elif tag == "gaussian":
-        means = _keyword_row(reader, "means", m)
-        sigmas = _keyword_row(reader, "sigmas", m)
+        means = reader.floats(m, "means", keyword=True)
+        sigmas = reader.floats(m, "sigmas", keyword=True)
         emission = GaussianEmission(means, sigmas)
     else:
         raise DataFormatError(f"line {lineno}: unknown emission type {tag!r}")
     return HmmModel(initial, transition, emission)
-
-
-def _keyword_row(reader: _LineReader, keyword: str, count: int) -> np.ndarray:
-    lineno, line = reader.next()
-    parts = line.split()
-    if parts[0] != keyword:
-        raise DataFormatError(f"line {lineno}: expected '{keyword}' row")
-    try:
-        values = np.array([float(p) for p in parts[1:]])
-    except ValueError:
-        raise DataFormatError(f"line {lineno}: {keyword}: not a number row")
-    if values.size != count:
-        raise DataFormatError(
-            f"line {lineno}: {keyword}: expected {count} values, got {values.size}"
-        )
-    return values
 
 
 def read_model(path) -> HmmModel:
@@ -203,7 +193,10 @@ def parse_observations_csv(text: str, source: str = "<csv>") -> ObservationSeque
         raw = row[-1].strip()
         if not _is_number(raw):
             raise DataFormatError(f"{source}: line {lineno}: not a number: {raw!r}")
-        values.append(float(raw))
+        value = float(raw)
+        if not np.isfinite(value):
+            raise DataFormatError(f"{source}: line {lineno}: not a finite number: {raw!r}")
+        values.append(value)
         if labels is not None:
             labels.append(row[0].strip())
     return ObservationSequence(np.array(values), labels=labels)

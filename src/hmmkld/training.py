@@ -149,16 +149,17 @@ def _initial_discrete_model(x, cfg: EmConfig, rng) -> HmmModel:
     return HmmModel(initial, transition, DiscreteEmission(table))
 
 
-def _expected_transition_counts(model, fb, weights) -> np.ndarray:
-    """Sum over i of the posterior transition distributions, shape (m, m)."""
-    n, m = weights.shape
-    w = fb.scaled_weights()
-    counts = np.zeros((m, m))
+def _expected_transition_counts(model, fb) -> np.ndarray:
+    """Sum over i of the posterior transition distributions, shape (m, m).
+
+    The posterior of the transition i -> i+1 is proportional to
+    fwd[i, a] alpha[a, b] w[i+1, b] bwd[i+1, b] with normalizer z[i], so
+    the sum over i is one matrix product (Rabiner 1989).
+    """
     alpha = model.transition
-    for i in range(n - 1):
-        xi = alpha * np.outer(fb.fwd[i], w[i + 1] * fb.bwd[i + 1])
-        counts += xi / xi.sum()
-    return counts
+    ahead = (fb.scaled_weights() * fb.bwd)[1:]
+    z = ((fb.fwd[:-1] @ alpha) * ahead).sum(axis=1)
+    return alpha * ((fb.fwd[:-1] / z[:, None]).T @ ahead)
 
 
 def _m_step(model, obs_values, cfg, fb, weights) -> HmmModel:
@@ -167,7 +168,7 @@ def _m_step(model, obs_values, cfg, fb, weights) -> HmmModel:
     if np.any(state_weight < _DEGENERATE_WEIGHT):
         raise DegenerateFitError("a state received no posterior weight")
 
-    counts = _expected_transition_counts(model, fb, weights) if m > 1 else None
+    counts = _expected_transition_counts(model, fb) if m > 1 else None
     if m == 1:
         transition = np.ones((1, 1))
     elif cfg.tie_transitions:
@@ -206,8 +207,8 @@ def _m_step(model, obs_values, cfg, fb, weights) -> HmmModel:
 
 
 def _single_em_run(obs, cfg: EmConfig, rng) -> EmResult:
-    x = obs.values.astype(float) if _is_gaussian(obs, cfg) else obs.values
-    if _is_gaussian(obs, cfg):
+    x = obs.values.astype(float) if _is_gaussian(obs) else obs.values
+    if _is_gaussian(obs):
         model = _initial_gaussian_model(x, cfg, rng)
     else:
         model = _initial_discrete_model(x, cfg, rng)
@@ -231,7 +232,7 @@ def _single_em_run(obs, cfg: EmConfig, rng) -> EmResult:
     )
 
 
-def _is_gaussian(obs, cfg) -> bool:
+def _is_gaussian(obs) -> bool:
     return np.issubdtype(np.asarray(obs.values).dtype, np.floating)
 
 

@@ -114,19 +114,20 @@ def test_03_complexity_scaling():
     model = random_gaussian_model(rng, 3)
     grid = (2000, 4000, 8000)
 
-    def best_time(fn, obs, repeats):
-        best = np.inf
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn(model, obs)
-            best = min(best, time.perf_counter() - t0)
-        return best
+    def seconds(fn, obs):
+        t0 = time.perf_counter()
+        fn(model, obs)
+        return time.perf_counter() - t0
 
-    fast_t, naive_t = {}, {}
-    for n in grid:
-        obs = ObservationSequence(rng.normal(0, 2, n))
-        fast_t[n] = best_time(kld_influence, obs, 3)
-        naive_t[n] = best_time(kld_influence_naive, obs, 1)
+    # Best of three for both engines, with the sizes interleaved in each
+    # repeat, so a drift in host speed hits every size alike.
+    series = {n: ObservationSequence(rng.normal(0, 2, n)) for n in grid}
+    fast_t = dict.fromkeys(grid, np.inf)
+    naive_t = dict.fromkeys(grid, np.inf)
+    for _ in range(3):
+        for n in grid:
+            fast_t[n] = min(fast_t[n], seconds(kld_influence, series[n]))
+            naive_t[n] = min(naive_t[n], seconds(kld_influence_naive, series[n]))
 
     # Linear growth over a 4x span predicts a 4x time ratio.
     fast_ratio = fast_t[8000] / fast_t[2000]

@@ -306,6 +306,8 @@ class TestSimulateEvaluate:
         records = [json.loads(line) for line in scores1.read_text().splitlines()]
         assert sum(rec["hypothesis"] == "H0" for rec in records) == 3
         assert sum(rec["hypothesis"] == "H1" for rec in records) == 3
+        assert all(isinstance(rec["z_degenerate"], bool) for rec in records)
+        assert not any(rec["lof_clipped"] for rec in records)
 
         table = tmp_path / "table.tsv"
         code = main(
@@ -337,6 +339,25 @@ class TestSimulateEvaluate:
         assert main(args + ["--resume"]) == 0
         assert scores.read_text() == before
 
+    def test_resume_after_cut_mid_line(self, tmp_path, series_csv):
+        whole = tmp_path / "whole.jsonl"
+        cut = tmp_path / "cut.jsonl"
+        args = ["simulate", str(series_csv), "--deltas", "1.0,2.0", "--replicates", "2",
+                "--em-restarts", "1", "--seed", "5"]
+        assert main(args + ["--out", str(whole)]) == 0
+        data = whole.read_bytes()
+        second_line_end = data.index(b"\n", data.index(b"\n") + 1)
+        cut.write_bytes(data[: second_line_end + 20])
+        assert main(args + ["--out", str(cut), "--resume"]) == 0
+        assert cut.read_bytes() == data
+
+    def test_resume_rejects_corrupt_record(self, tmp_path, series_csv):
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("not json\n")
+        args = ["simulate", str(series_csv), "--replicates", "1", "--resume",
+                "--out", str(scores)]
+        assert main(args) == 3
+
     def test_zero_replicates_is_usage_error(self, tmp_path, series_csv):
         code = main(
             [
@@ -361,3 +382,25 @@ class TestSimulateEvaluate:
             ]
         )
         assert code == 3
+
+
+class TestNonFiniteInput:
+    @pytest.fixture(params=["nan", "inf"])
+    def bad_csv(self, request, tmp_path, series_csv):
+        lines = series_csv.read_text().splitlines()
+        lines[5] = lines[5].split(",")[0] + "," + request.param
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_influence_is_data_error(self, tmp_path, bad_csv, model_file, capsys):
+        out = tmp_path / "inf.tsv"
+        assert main(["influence", str(model_file), str(bad_csv), "--out", str(out)]) == 3
+        assert "line 6: not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["z", "kld", "lof"])
+    def test_detect_is_data_error(self, tmp_path, bad_csv, method, capsys):
+        out = tmp_path / "flags.tsv"
+        assert main(["detect", str(bad_csv), "--method", method, "--out", str(out)]) == 3
+        assert "line 6: not a finite number" in capsys.readouterr().err

@@ -175,6 +175,23 @@ class TestKldInfluence:
         )
         assert kl_divergence(np.array([0.5, 0.5]), np.array([0.0, 1.0])) == np.inf
 
+    def test_nan_entry_propagates(self):
+        assert np.isnan(kl_divergence(np.array([np.nan, 1.0]), np.array([0.5, 0.5])))
+        assert np.isnan(kl_divergence(np.array([0.0, 1.0]), np.array([np.nan, 0.5])))
+        assert np.isnan(kl_divergence(np.array([0.5, 0.5]), np.array([0.5, np.nan])))
+
+    def test_rows_match_one_row_at_a_time(self, rng):
+        p = rng.dirichlet(np.ones(4), size=(5, 6))
+        q = rng.dirichlet(np.ones(4), size=(5, 6))
+        p[0, 0, 1] = 0.0
+        q[1, 2, 3] = 0.0
+        rows = kl_divergence(p, q)
+        assert rows.shape == (5, 6)
+        for a in range(5):
+            for b in range(6):
+                assert rows[a, b] == kl_divergence(p[a, b], q[a, b])
+        assert isinstance(kl_divergence(p[0, 0], q[0, 0]), float)
+
     def test_labels_carried_through(self, rng):
         model = random_gaussian_model(rng, 2)
         obs = ObservationSequence(

@@ -85,6 +85,11 @@ class TestInvariants:
         with pytest.raises(ModelError):
             ObservationSequence(np.array([1.0, 2.0]), labels=["a"])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ModelError, match="observation 1 is not finite"):
+            ObservationSequence(np.array([1.0, bad, 2.0]))
+
 
 class TestSample:
     def test_absorbing_chain_constant_path(self):

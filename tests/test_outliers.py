@@ -199,6 +199,10 @@ class TestEmpiricalAuc:
         with pytest.raises(ModelError):
             empirical_auc([], [1.0])
 
+    def test_nan_score_rejected(self):
+        with pytest.raises(ModelError):
+            empirical_auc([1.0, np.nan], [1.0])
+
 
 def synthetic_source(seed=99, n=106):
     true = HmmModel(

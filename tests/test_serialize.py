@@ -121,6 +121,11 @@ class TestObservationsCsv:
         with pytest.raises(DataFormatError, match="line 3"):
             parse_observations_csv("1.0\n2.0\nxyz\n")
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_reports_line(self, raw):
+        with pytest.raises(DataFormatError, match="line 3: not a finite number"):
+            parse_observations_csv(f"label,value\n1880,1.0\n1881,{raw}\n")
+
 
 class TestProfileTsv:
     def test_influence_columns(self, rng):
