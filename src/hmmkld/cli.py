@@ -20,9 +20,9 @@ from .influence import LeaveOneOutImpossibleError, kld_influence, windowed_influ
 from .model import EvidenceImpossibleError, ModelError
 from .outliers import (
     SimulationConfig,
-    empirical_auc,
+    auc_table,
     lof_statistic,
-    simulate,
+    scored_replicates,
     z_value_scores,
 )
 from .reference import kld_influence_naive
@@ -30,8 +30,10 @@ from .serialize import (
     DataFormatError,
     _fmt,
     influence_tsv,
+    parse_replicate_records,
     read_model,
     read_observations,
+    replicate_record,
     window_influence_tsv,
     write_model,
 )
@@ -185,39 +187,6 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _replicate_record(hypothesis, delta, index, rep) -> dict:
-    return {
-        "hypothesis": hypothesis,
-        "delta": delta,
-        "replicate": index,
-        "t_kld": rep.t_kld,
-        "s_z": rep.s_z,
-        "l_lof": rep.l_lof,
-        "outliers": rep.outlier_positions,
-        "resampled": rep.resampled,
-        "z_degenerate": rep.z_degenerate,
-        "lof_clipped": rep.lof_clipped,
-    }
-
-
-def _completed_records(path: Path):
-    """Byte length of the whole lines of a scores file and their keys.
-
-    A last line without its newline was cut short by an interrupted run
-    and is not counted.
-    """
-    data = path.read_bytes()
-    kept = data[: data.rfind(b"\n") + 1]
-    done = set()
-    for lineno, line in enumerate(kept.decode(errors="replace").splitlines(), 1):
-        try:
-            rec = json.loads(line)
-            done.add((rec["hypothesis"], rec["delta"], rec["replicate"]))
-        except (json.JSONDecodeError, KeyError, TypeError):
-            raise DataFormatError(f"{path}: line {lineno}: not a replicate record")
-    return len(kept), done
-
-
 def cmd_simulate(args) -> int:
     manifest = _Manifest("simulate", args)
     if args.replicates < 1:
@@ -227,37 +196,30 @@ def cmd_simulate(args) -> int:
     manifest.phase("load")
 
     out = Path(args.out)
-    done = set()
+    done = {}
     mode = "w"
     if args.resume and out.exists():
-        length, done = _completed_records(out)
-        os.truncate(out, length)
+        # A last line without its newline was cut short by an interrupted
+        # run: drop it and score that replicate again.
+        data = out.read_bytes()
+        kept = data[: data.rfind(b"\n") + 1]
+        done = parse_replicate_records(kept.decode(errors="replace"), source=str(out))
+        os.truncate(out, len(kept))
         mode = "a"
-
-    def base_cfg(delta: float) -> SimulationConfig:
-        return SimulationConfig(
-            source=source.values,
-            subsample_size=args.subsample,
-            contamination=args.contamination,
-            noise_std=delta,
-            replicates=args.replicates,
-            seed=args.seed,
-            em_restarts=args.em_restarts,
-        )
-
-    cells = [("H0", None)] + [("H1", delta) for delta in deltas]
+    cfg = SimulationConfig(
+        source=source.values,
+        subsample_size=args.subsample,
+        contamination=args.contamination,
+        replicates=args.replicates,
+        seed=args.seed,
+        em_restarts=args.em_restarts,
+    )
     # Each record is flushed as soon as it is scored, so an interrupted
     # run leaves every finished replicate for --resume.
     with open(out, mode) as fh:
-        for hypothesis, delta in cells:
-            cfg = base_cfg(0.0 if delta is None else delta)
-            for q in range(args.replicates):
-                if (hypothesis, delta, q) in done:
-                    continue
-                rep = simulate(cfg, hypothesis, q)
-                record = _replicate_record(hypothesis, delta, q, rep)
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-                fh.flush()
+        for key, rep in scored_replicates(cfg, deltas, skip=done):
+            fh.write(replicate_record(key, rep))
+            fh.flush()
     manifest.phase("simulate")
     manifest.write(_manifest_path(args, args.out))
     return EXIT_OK
@@ -265,41 +227,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     manifest = _Manifest("evaluate", args)
-    path = Path(args.scores)
-    if not path.exists():
-        raise DataFormatError(f"{path}: no such scores file")
-    h0 = {"kld": [], "z": [], "lof": []}
-    h1 = {}
-    count_h0 = 0
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            raise DataFormatError(f"{path}: line {lineno}: invalid JSON")
-        scores = {"kld": rec["t_kld"], "z": rec["s_z"], "lof": rec["l_lof"]}
-        if rec["hypothesis"] == "H0":
-            count_h0 += 1
-            for method, value in scores.items():
-                h0[method].append(value)
-        else:
-            delta = float(rec["delta"])
-            bucket = h1.setdefault(delta, {"kld": [], "z": [], "lof": []})
-            for method, value in scores.items():
-                bucket[method].append(value)
-    if count_h0 == 0 or not h1:
-        raise DataFormatError(f"{path}: need both H0 and H1 replicates")
+    text = Path(args.scores).read_text()
+    scored = parse_replicate_records(text, source=args.scores)
     manifest.phase("load")
-
     lines = ["method\tdelta\tauc\tci_lo\tci_hi\treplicates\tseed"]
-    for delta in sorted(h1):
-        for method in ("kld", "z", "lof"):
-            roc = empirical_auc(h1[delta][method], h0[method], seed=args.seed)
-            lines.append(
-                f"{method}\t{_fmt(delta)}\t{_fmt(roc.auc)}\t{_fmt(roc.ci_lower)}"
-                f"\t{_fmt(roc.ci_upper)}\t{len(h1[delta][method])}\t{args.seed}"
-            )
+    for row in auc_table(scored, args.seed):
+        lines.append(
+            f"{row.method}\t{_fmt(row.delta)}\t{_fmt(row.auc)}\t{_fmt(row.ci_lower)}"
+            f"\t{_fmt(row.ci_upper)}\t{row.replicates}\t{row.seed}"
+        )
     Path(args.out).write_text("\n".join(lines) + "\n")
     manifest.phase("write")
     manifest.write(_manifest_path(args, args.out))
@@ -313,6 +249,8 @@ def _parse_deltas(raw: str):
         raise _UsageError(f"bad --deltas value: {raw!r}")
     if not deltas:
         raise _UsageError("--deltas must list at least one value")
+    if len(set(deltas)) != len(deltas):
+        raise _UsageError(f"--deltas repeats a value: {raw!r}")
     return deltas
 
 

@@ -58,17 +58,6 @@ class ForwardBackward:
 def forward_backward(model: HmmModel, obs: ObservationSequence) -> ForwardBackward:
     """Run the scaled forward and backward recursions on one sequence."""
     logw = model.log_emission_matrix(obs.values)
-    return forward_backward_from_log_weights(model, logw)
-
-
-def forward_backward_from_log_weights(
-    model: HmmModel, logw: np.ndarray
-) -> ForwardBackward:
-    """Forward-backward on precomputed per-index log emission weights.
-
-    Accepting the weights directly lets callers marginalize observations
-    out (a zero log-weight column stands for an omitted emission factor).
-    """
     n, m = logw.shape
     offsets = logw.max(axis=1)
     if np.any(np.isneginf(offsets)):

@@ -102,18 +102,9 @@ def kl_divergence(p, q):
     return float(total) if total.ndim == 0 else total
 
 
-def kld_influence(
-    model: HmmModel,
-    obs: ObservationSequence,
-    fb: Optional[ForwardBackward] = None,
-) -> InfluenceProfile:
-    """Influence of every observation in one O(n m^2) pass.
-
-    An existing ``ForwardBackward`` for the same model/observations may be
-    passed to avoid recomputing it.
-    """
-    if fb is None:
-        fb = forward_backward(model, obs)
+def kld_influence(model: HmmModel, obs: ObservationSequence) -> InfluenceProfile:
+    """Influence of every observation in one O(n m^2) pass."""
+    fb = forward_backward(model, obs)
     star = forward_star(model, fb)
     marg = posterior_marginals(fb)
     n = len(fb)

@@ -27,6 +27,8 @@ def _as_prob_vector(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ModelError(f"{name} must be a non-empty 1-D vector")
+    if not np.all(np.isfinite(v)):
+        raise ModelError(f"{name} has non-finite entries")
     if np.any(v < 0):
         raise ModelError(f"{name} has negative entries")
     if abs(v.sum() - 1.0) > PROB_TOL:
@@ -90,6 +92,8 @@ class GaussianEmission:
             sigmas = np.full(means.shape, float(sigmas))
         if means.shape != sigmas.shape:
             raise ModelError("means and sigmas must have matching length")
+        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(sigmas))):
+            raise ModelError("means and sigmas must be finite")
         if np.any(sigmas <= 0):
             raise ModelError("all sigmas must be strictly positive")
         object.__setattr__(self, "means", means)

@@ -11,7 +11,7 @@ confidence intervals.
 """
 
 from dataclasses import dataclass, field, replace
-from typing import List, Sequence, Tuple
+from typing import Collection, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -215,7 +215,6 @@ class RocResult:
     ci_level: float
     ci_lower: float
     ci_upper: float
-    pairs: Tuple[Tuple[float, int], ...]
 
 
 def empirical_auc(
@@ -248,14 +247,11 @@ def empirical_auc(
     auc, boot = aucs[0], aucs[1:]
     tail = (1.0 - ci_level) / 2.0
     lower, upper = np.quantile(boot, [tail, 1.0 - tail])
-    scored = [(float(s), 1) for s in h1] + [(float(s), 0) for s in h0]
-    scored.sort(key=lambda p: (-p[0], p[1]))
     return RocResult(
         auc=float(auc),
         ci_level=ci_level,
         ci_lower=float(min(lower, auc)),
         ci_upper=float(max(upper, auc)),
-        pairs=tuple(scored),
     )
 
 
@@ -288,53 +284,69 @@ class BenchmarkRow:
     seed: int
 
 
-METHODS = ("kld", "z", "lof")
+# Each detection method and the ScoredReplicate statistic it ranks by.
+METHODS = {"kld": "t_kld", "z": "s_z", "lof": "l_lof"}
+
+# A replicate's key: (hypothesis, delta, index), delta None under H0.
+ReplicateKey = Tuple[str, Optional[float], int]
 
 
-def _method_scores(reps: Sequence[ScoredReplicate], method: str) -> np.ndarray:
-    attr = {"kld": "t_kld", "z": "s_z", "lof": "l_lof"}[method]
-    return np.array([getattr(rep, attr) for rep in reps])
-
-
-def run_benchmark(
+def scored_replicates(
     cfg: SimulationConfig,
     deltas: Sequence[float],
-    progress=None,
-) -> List[BenchmarkRow]:
-    """Full method-by-delta AUC table.
-
-    Null replicates do not depend on delta, so they are simulated once and
-    shared across the grid. ``progress``, if given, is called after each
-    replicate with (hypothesis, delta, index).
-    """
-    h0_reps = []
-    for q in range(cfg.replicates):
-        h0_reps.append(simulate(cfg, "H0", q))
-        if progress:
-            progress("H0", None, q)
-    rows: List[BenchmarkRow] = []
-    for delta in deltas:
-        delta_cfg = replace(cfg, noise_std=float(delta))
-        h1_reps = []
+    skip: Collection[ReplicateKey] = (),
+) -> Iterator[Tuple[ReplicateKey, ScoredReplicate]]:
+    """Score every replicate not in ``skip``, in file order: the H0 cell
+    once (null replicates do not depend on delta), then one H1 cell per
+    delta, each running indices 0..replicates-1."""
+    deltas = [float(d) for d in deltas]
+    if len(set(deltas)) != len(deltas):
+        raise ModelError(f"repeated delta in {deltas}")
+    cells = [("H0", None, cfg)]
+    cells += [("H1", d, replace(cfg, noise_std=d)) for d in deltas]
+    for hypothesis, delta, cell_cfg in cells:
         for q in range(cfg.replicates):
-            h1_reps.append(simulate(delta_cfg, "H1", q))
-            if progress:
-                progress("H1", delta, q)
-        for method in METHODS:
+            key = (hypothesis, delta, q)
+            if key not in skip:
+                yield key, simulate(cell_cfg, hypothesis, q)
+
+
+def auc_table(
+    scored: Mapping[ReplicateKey, ScoredReplicate], seed: int
+) -> List[BenchmarkRow]:
+    """Method-by-delta AUC rows of H1 against H0 scores, deltas ascending.
+
+    Scores enter ``empirical_auc`` in the mapping's order, and a row's
+    ``replicates`` counts the H1 replicates at its delta.
+    """
+    by_delta = {}
+    for (_, delta, _), rep in scored.items():
+        by_delta.setdefault(delta, []).append(rep)
+    h0 = by_delta.pop(None, [])  # H0 keys carry no delta
+    if not h0 or not by_delta:
+        raise ModelError("need both H0 and H1 replicates")
+    rows: List[BenchmarkRow] = []
+    for delta in sorted(by_delta):
+        for method, attr in METHODS.items():
             roc = empirical_auc(
-                _method_scores(h1_reps, method),
-                _method_scores(h0_reps, method),
-                seed=cfg.seed,
+                [getattr(rep, attr) for rep in by_delta[delta]],
+                [getattr(rep, attr) for rep in h0],
+                seed=seed,
             )
             rows.append(
                 BenchmarkRow(
                     method=method,
-                    delta=float(delta),
+                    delta=delta,
                     auc=roc.auc,
                     ci_lower=roc.ci_lower,
                     ci_upper=roc.ci_upper,
-                    replicates=cfg.replicates,
-                    seed=cfg.seed,
+                    replicates=len(by_delta[delta]),
+                    seed=seed,
                 )
             )
     return rows
+
+
+def run_benchmark(cfg: SimulationConfig, deltas: Sequence[float]) -> List[BenchmarkRow]:
+    """Full method-by-delta AUC table, simulated in memory."""
+    return auc_table(dict(scored_replicates(cfg, deltas)), cfg.seed)

@@ -1,4 +1,4 @@
-"""File formats: model documents, observation CSV, TSV reports.
+"""File formats: model documents, observation CSV, TSV reports, scores.
 
 The model document is a plain-text key-value format::
 
@@ -21,7 +21,8 @@ round-trip precision so rewriting a parsed document is byte-stable.
 
 import csv
 import io
-from typing import List, Optional, Tuple
+import json
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .model import (
     HmmModel,
     ObservationSequence,
 )
+from .outliers import ReplicateKey, ScoredReplicate
 
 MODEL_HEADER = "hmmkld-model v1"
 
@@ -240,3 +242,73 @@ def window_influence_tsv(
     for j in range(n):
         lines.append(f"{labels[j]}\t{_fmt(profile.k[j])}")
     return "\n".join(lines) + "\n"
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _is_counts(v) -> bool:
+    return isinstance(v, list) and all(map(_is_count, v))
+
+
+# Scores-file field -> (ScoredReplicate attribute, check of the JSON value).
+# The first three fields form the key and have no attribute.
+_RECORD_FIELDS = {
+    "hypothesis": (None, lambda v: v in ("H0", "H1")),
+    "delta": (None, lambda v: v is None or _is_real(v)),
+    "replicate": (None, _is_count),
+    "t_kld": ("t_kld", _is_real),
+    "s_z": ("s_z", _is_real),
+    "l_lof": ("l_lof", _is_real),
+    "outliers": ("outlier_positions", _is_counts),
+    "resampled": ("resampled", _is_count),
+    "z_degenerate": ("z_degenerate", lambda v: isinstance(v, bool)),
+    "lof_clipped": ("lof_clipped", lambda v: isinstance(v, bool)),
+}
+
+
+def replicate_record(key: ReplicateKey, rep: ScoredReplicate) -> str:
+    """One scores-file line, newline included, for the replicate ``key``."""
+    record = dict(zip(_RECORD_FIELDS, key))
+    for name, (attr, _) in _RECORD_FIELDS.items():
+        if attr:
+            record[name] = getattr(rep, attr)
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def parse_replicate_records(
+    text: str, source: str = "<scores>"
+) -> Dict[ReplicateKey, ScoredReplicate]:
+    """Replicates of a scores file keyed by (hypothesis, delta, replicate),
+    in file order. A line that is not a record, a missing or mistyped field
+    and a repeated key are ``DataFormatError``s naming the line."""
+    records: Dict[ReplicateKey, ScoredReplicate] = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        where = f"{source}: line {lineno}"
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError:
+            raise DataFormatError(f"{where}: invalid JSON")
+        if not isinstance(rec, dict):
+            raise DataFormatError(f"{where}: not a JSON object")
+        for name, (_, ok) in _RECORD_FIELDS.items():
+            if name not in rec:
+                raise DataFormatError(f"{where}: missing field {name!r}")
+            if not ok(rec[name]):
+                raise DataFormatError(f"{where}: bad {name!r}: {rec[name]!r}")
+        hypothesis, delta = rec["hypothesis"], rec["delta"]
+        if (hypothesis == "H0") != (delta is None):
+            raise DataFormatError(f"{where}: {hypothesis} record with delta {delta!r}")
+        key = (hypothesis, None if delta is None else float(delta), rec["replicate"])
+        if key in records:
+            raise DataFormatError(f"{where}: repeats replicate {key}")
+        fields = {attr: rec[name] for name, (attr, _) in _RECORD_FIELDS.items() if attr}
+        records[key] = ScoredReplicate(label=hypothesis, **fields)
+    return records

@@ -88,16 +88,12 @@ class EmConfig:
     seed: int = 0
     tie_transitions: bool = False
     homoscedastic: bool = True
-    init: str = "kmeans"  # "kmeans" | "quantiles"
-    uniform_initial: bool = False
 
     def __post_init__(self):
         if self.num_states < 1:
             raise ModelError("num_states must be >= 1")
         if self.tol <= 0:
             raise ModelError("tolerance must be > 0")
-        if self.init not in ("kmeans", "quantiles"):
-            raise ModelError(f"unknown init strategy {self.init!r}")
 
 
 @dataclass
@@ -126,12 +122,8 @@ def _initial_gaussian_model(x, cfg: EmConfig, rng) -> HmmModel:
     spread = x.std()
     if spread == 0.0:
         spread = max(abs(x.mean()), 1.0) * 1e-3
-    if cfg.init == "kmeans":
-        _, means = kmeans_1d(x, m, rng)
-        means = means + rng.normal(0.0, 0.1 * spread, m)
-    else:
-        qs = (np.arange(m) + 0.5) / m
-        means = np.quantile(x, qs) + rng.normal(0.0, 0.25 * spread, m)
+    _, means = kmeans_1d(x, m, rng)
+    means = means + rng.normal(0.0, 0.1 * spread, m)
     sigma = max(spread, SIGMA_FLOOR)
     emission = GaussianEmission.homoscedastic(means, sigma)
     transition = _tied_transition(0.1, m)
@@ -178,10 +170,7 @@ def _m_step(model, obs_values, cfg, fb, weights) -> HmmModel:
     else:
         transition = counts / counts.sum(axis=1, keepdims=True)
 
-    if cfg.uniform_initial:
-        initial = np.full(m, 1.0 / m)
-    else:
-        initial = weights[0] / weights[0].sum()
+    initial = weights[0] / weights[0].sum()
 
     if isinstance(model.emission, GaussianEmission):
         x = obs_values

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,19 @@ import pytest
 from hmmkld import GaussianEmission, HmmModel, sample
 from hmmkld.cli import main
 from hmmkld.serialize import dump_model, read_model
+
+
+def replicate_line(drop=None, **changes):
+    """A scores-file line: an H0 record with ``changes`` applied, ``drop`` left out."""
+    rec = {"hypothesis": "H0", "delta": None, "replicate": 0, "t_kld": 0.5,
+           "s_z": 1.0, "l_lof": 1.2, "outliers": [], "resampled": 0,
+           "z_degenerate": False, "lof_clipped": False}
+    rec.update(changes)
+    rec.pop(drop, None)
+    return json.dumps(rec)
+
+
+H1_LINE = replicate_line(hypothesis="H1", delta=2.0)
 
 
 @pytest.fixture
@@ -371,6 +385,43 @@ class TestSimulateEvaluate:
         )
         assert code == 2
 
+    def test_repeated_delta_is_usage_error(self, tmp_path, series_csv):
+        out = tmp_path / "s.jsonl"
+        args = ["simulate", str(series_csv), "--deltas", "2.0,2.0", "--out", str(out)]
+        assert main(args) == 2
+        assert not out.exists()
+        assert not Path(str(out) + ".manifest.json").exists()
+
+    def test_evaluate_hand_written_records(self, tmp_path):
+        scores = tmp_path / "scores.jsonl"
+        h1 = replicate_line(hypothesis="H1", delta=2, t_kld=0.7)
+        scores.write_text(replicate_line() + "\n\n" + h1 + "\n")
+        table = tmp_path / "t.tsv"
+        assert main(["evaluate", "--scores", str(scores), "--out", str(table)]) == 0
+        lines = table.read_text().splitlines()
+        assert lines[1].split("\t")[:3] == ["kld", "2.0", "1.0"]
+        assert [line.split("\t")[5] for line in lines[1:]] == ["1", "1", "1"]
+
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            (replicate_line(drop="t_kld", hypothesis="H1", delta=2.0),
+             "line 2: missing field 't_kld'"),
+            ("[1, 2]", "line 2: not a JSON object"),
+            (replicate_line(hypothesis="H1"), "line 2: H1 record with delta None"),
+            (H1_LINE + "\n" + replicate_line(), "line 3: repeats replicate ('H0', None, 0)"),
+            (H1_LINE + "\n" + H1_LINE[:25], "line 3: invalid JSON"),
+        ],
+        ids=["missing-field", "non-object", "null-delta", "duplicate", "cut-line"],
+    )
+    def test_evaluate_rejects_bad_record(self, tmp_path, capsys, tail, message):
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(replicate_line() + "\n" + tail)
+        table = tmp_path / "t.tsv"
+        assert main(["evaluate", "--scores", str(scores), "--out", str(table)]) == 3
+        assert message in capsys.readouterr().err
+        assert not table.exists()
+
     def test_evaluate_missing_scores_is_data_error(self, tmp_path):
         code = main(
             [
@@ -397,6 +448,18 @@ class TestNonFiniteInput:
         out = tmp_path / "inf.tsv"
         assert main(["influence", str(model_file), str(bad_csv), "--out", str(out)]) == 3
         assert "line 6: not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_model_parameter_is_data_error(
+        self, tmp_path, series_csv, model_file, capsys
+    ):
+        text = model_file.read_text().splitlines()
+        text[2] = "initial nan nan nan"
+        bad_model = tmp_path / "nan.model"
+        bad_model.write_text("\n".join(text) + "\n")
+        out = tmp_path / "inf.tsv"
+        assert main(["influence", str(bad_model), str(series_csv), "--out", str(out)]) == 3
+        assert "initial distribution has non-finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["z", "kld", "lof"])

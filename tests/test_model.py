@@ -90,6 +90,38 @@ class TestInvariants:
         with pytest.raises(ModelError, match="observation 1 is not finite"):
             ObservationSequence(np.array([1.0, bad, 2.0]))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: HmmModel(
+                    [np.nan, np.nan],
+                    [[0.9, 0.1], [0.2, 0.8]],
+                    DiscreteEmission([[0.5, 0.5], [0.5, 0.5]]),
+                ),
+                "initial distribution has non-finite",
+            ),
+            (
+                lambda: HmmModel(
+                    [0.5, 0.5],
+                    [[0.9, 0.1], [np.nan, 0.8]],
+                    DiscreteEmission([[0.5, 0.5], [0.5, 0.5]]),
+                ),
+                "transition row 1 has non-finite",
+            ),
+            (
+                lambda: DiscreteEmission([[0.5, 0.5], [np.nan, np.nan]]),
+                "emission row 1 has non-finite",
+            ),
+            (lambda: GaussianEmission([0.0, np.nan], [1.0, 1.0]), "must be finite"),
+            (lambda: GaussianEmission([0.0, 1.0], [1.0, np.nan]), "must be finite"),
+        ],
+        ids=["initial", "transition-row", "discrete-row", "mean", "sigma"],
+    )
+    def test_nan_parameters_rejected(self, build, message):
+        with pytest.raises(ModelError, match=message):
+            build()
+
 
 class TestSample:
     def test_absorbing_chain_constant_path(self):

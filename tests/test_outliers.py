@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hmmkld import (
     GaussianEmission,
     HmmModel,
     ModelError,
+    ScoredReplicate,
     SimulationConfig,
     empirical_auc,
     lof_scores,
@@ -16,6 +18,7 @@ from hmmkld import (
     simulate,
     z_value_scores,
 )
+from hmmkld.outliers import auc_table, scored_replicates
 
 
 def reference_lof(points, r):
@@ -297,3 +300,49 @@ class TestRunBenchmark:
         assert [(r.method, r.auc) for r in rows1] == [
             (r.method, r.auc) for r in rows2
         ]
+
+
+class TestScoredReplicates:
+    def test_file_order_and_skip(self):
+        cfg = SimulationConfig(
+            source=synthetic_source(), replicates=2, seed=3, em_restarts=1
+        )
+        deltas = [2.0, 1.0]
+        every = [("H0", None, 0), ("H0", None, 1), ("H1", 2.0, 0), ("H1", 2.0, 1),
+                 ("H1", 1.0, 0), ("H1", 1.0, 1)]
+        assert list(scored_replicates(cfg, deltas, skip=every)) == []
+        # Only the last key is left to score; it must use its own delta.
+        (key, rep), = scored_replicates(cfg, deltas, skip=every[:-1])
+        assert key == ("H1", 1.0, 1)
+        assert rep == simulate(replace(cfg, noise_std=1.0), "H1", 1)
+
+    def test_repeated_delta_rejected(self):
+        cfg = SimulationConfig(source=synthetic_source(), replicates=1, seed=0)
+        with pytest.raises(ModelError, match="repeated delta"):
+            next(scored_replicates(cfg, [1.0, 2.0, 1.0]))
+
+
+class TestAucTable:
+    @staticmethod
+    def rep(label, t_kld):
+        return ScoredReplicate(label=label, t_kld=t_kld, s_z=1.0, l_lof=1.0)
+
+    def test_deltas_ascending_and_h1_counts(self):
+        scored = {
+            ("H0", None, 0): self.rep("H0", 0.1),
+            ("H0", None, 1): self.rep("H0", 0.3),
+            ("H1", 3.0, 0): self.rep("H1", 0.5),
+            ("H1", 0.5, 0): self.rep("H1", 0.2),
+            ("H1", 0.5, 1): self.rep("H1", 0.05),
+        }
+        rows = auc_table(scored, seed=4)
+        assert [(r.method, r.delta, r.replicates) for r in rows] == [
+            (m, d, n) for d, n in ((0.5, 2), (3.0, 1)) for m in ("kld", "z", "lof")
+        ]
+        kld = {r.delta: r.auc for r in rows if r.method == "kld"}
+        assert kld == {0.5: 0.25, 3.0: 1.0}
+        assert all(r.seed == 4 and r.ci_lower <= r.auc <= r.ci_upper for r in rows)
+
+    def test_needs_both_hypotheses(self):
+        with pytest.raises(ModelError, match="both H0 and H1"):
+            auc_table({("H0", None, 0): self.rep("H0", 0.1)}, seed=0)

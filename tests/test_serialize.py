@@ -8,6 +8,7 @@ from hmmkld import (
     kld_influence,
     windowed_influence,
     ObservationSequence,
+    ScoredReplicate,
 )
 from hmmkld.serialize import (
     DataFormatError,
@@ -15,7 +16,9 @@ from hmmkld.serialize import (
     influence_tsv,
     parse_model,
     parse_observations_csv,
+    parse_replicate_records,
     read_model,
+    replicate_record,
     window_influence_tsv,
     write_model,
 )
@@ -158,3 +161,25 @@ class TestProfileTsv:
         lines = window_influence_tsv(profile).strip().split("\n")
         assert lines[0] == "label\tK"
         assert len(lines) == 5  # header + (6 - 3 + 1) windows
+
+
+class TestReplicateRecords:
+    def test_round_trip_keeps_order(self):
+        reps = {
+            ("H0", None, 1): ScoredReplicate("H0", 0.25, 1.5, 1.1, resampled=2),
+            ("H0", None, 0): ScoredReplicate("H0", float("inf"), 2.0, 1.3),
+            ("H1", 2.0, 0): ScoredReplicate(
+                "H1", 0.75, 3.5, 2.2, outlier_positions=[4, 17], z_degenerate=True
+            ),
+        }
+        text = "".join(replicate_record(key, rep) for key, rep in reps.items())
+        assert text.count("\n") == 3
+        parsed = parse_replicate_records(text)
+        assert list(parsed) == list(reps)
+        assert parsed == reps
+
+    def test_bad_field_type_reports_line(self):
+        line = replicate_record(("H0", None, 0), ScoredReplicate("H0", 0.1, 1.0, 1.0))
+        bad = line.replace('"resampled": 0', '"resampled": "0"')
+        with pytest.raises(DataFormatError, match="<scores>: line 2: bad 'resampled'"):
+            parse_replicate_records("\n" + bad)

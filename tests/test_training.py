@@ -129,12 +129,6 @@ class TestEmFit:
         diffs = np.diff(result.log_likelihoods)
         assert np.all(diffs >= -1e-9)
 
-    def test_quantile_init(self):
-        rng = np.random.default_rng(8)
-        obs = ObservationSequence(rng.normal(0, 1, 100))
-        cfg = EmConfig(num_states=2, init="quantiles", num_restarts=2, seed=5)
-        assert np.isfinite(em_fit(obs, cfg).log_likelihoods[-1])
-
     def test_needs_more_observations_than_states(self):
         with pytest.raises(ModelError):
             em_fit(
