@@ -25,15 +25,14 @@ from .outliers import (
     scored_replicates,
     z_value_scores,
 )
-from .reference import kld_influence_naive
 from .serialize import (
     DataFormatError,
-    _fmt,
     influence_tsv,
     parse_replicate_records,
     read_model,
     read_observations,
     replicate_record,
+    tsv,
     window_influence_tsv,
     write_model,
 )
@@ -104,15 +103,18 @@ def cmd_train(args) -> int:
     manifest.phase("fit")
     write_model(model, args.out_model)
     if args.report:
-        lines = ["field\tvalue"]
-        lines.append(f"iterations\t{len(result.log_likelihoods)}")
-        lines.append(f"log_likelihood\t{_fmt(result.log_likelihoods[-1])}")
-        lines.append(f"converged\t{int(result.converged)}")
-        lines.append(f"best_restart\t{result.restart_index}")
-        lines.append(f"degenerate_restarts\t{result.degenerate_restarts}")
-        for idx, ll in enumerate(result.restart_final_lls):
-            lines.append(f"restart_{idx}_log_likelihood\t{_fmt(ll)}")
-        Path(args.report).write_text("\n".join(lines) + "\n")
+        rows = [
+            ("iterations", len(result.log_likelihoods)),
+            ("log_likelihood", result.log_likelihoods[-1]),
+            ("converged", int(result.converged)),
+            ("best_restart", result.restart_index),
+            ("degenerate_restarts", result.degenerate_restarts),
+        ]
+        rows += [
+            (f"restart_{idx}_log_likelihood", ll)
+            for idx, ll in enumerate(result.restart_final_lls)
+        ]
+        Path(args.report).write_text(tsv(["field", "value"], rows))
     manifest.phase("write")
     manifest.write(_manifest_path(args, args.out_model))
     return EXIT_OK
@@ -128,16 +130,10 @@ def cmd_influence(args) -> int:
         )
     manifest.phase("load")
     if args.window == 1:
-        if args.engine == "naive":
-            profile = kld_influence_naive(model, obs)
-        else:
-            profile = kld_influence(model, obs)
-        text = influence_tsv(profile, labels=obs.label_list())
+        text = influence_tsv(kld_influence(model, obs), obs.label_list())
     else:
-        if args.engine == "naive":
-            raise _UsageError("--engine naive supports --window 1 only")
         profile = windowed_influence(model, obs, args.window)
-        text = window_influence_tsv(profile, labels=obs.label_list()[: len(profile)])
+        text = window_influence_tsv(profile, obs.label_list())
     manifest.phase("compute")
     Path(args.out).write_text(text)
     manifest.phase("write")
@@ -147,6 +143,8 @@ def cmd_influence(args) -> int:
 
 def cmd_detect(args) -> int:
     manifest = _Manifest("detect", args)
+    if args.top_k is not None and args.top_k < 1:
+        raise _UsageError(f"--top-k must be >= 1, got {args.top_k}")
     obs = read_observations(args.data)
     manifest.phase("load")
     if args.method == "kld":
@@ -177,11 +175,8 @@ def cmd_detect(args) -> int:
         flagged[order[: args.top_k]] = True
     else:
         flagged = scores >= args.threshold
-    labels = obs.label_list()
-    lines = ["label\tscore\tflagged"]
-    for j in range(len(obs)):
-        lines.append(f"{labels[j]}\t{_fmt(scores[j])}\t{int(flagged[j])}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    rows = zip(obs.label_list(), scores, flagged.astype(int))
+    Path(args.out).write_text(tsv(["label", "score", "flagged"], rows))
     manifest.phase("write")
     manifest.write(_manifest_path(args, args.out))
     return EXIT_OK
@@ -230,13 +225,12 @@ def cmd_evaluate(args) -> int:
     text = Path(args.scores).read_text()
     scored = parse_replicate_records(text, source=args.scores)
     manifest.phase("load")
-    lines = ["method\tdelta\tauc\tci_lo\tci_hi\treplicates\tseed"]
-    for row in auc_table(scored, args.seed):
-        lines.append(
-            f"{row.method}\t{_fmt(row.delta)}\t{_fmt(row.auc)}\t{_fmt(row.ci_lower)}"
-            f"\t{_fmt(row.ci_upper)}\t{row.replicates}\t{row.seed}"
-        )
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    header = ["method", "delta", "auc", "ci_lo", "ci_hi", "replicates", "seed"]
+    rows = [
+        (r.method, r.delta, r.auc, r.ci_lower, r.ci_upper, r.replicates, r.seed)
+        for r in auc_table(scored, args.seed)
+    ]
+    Path(args.out).write_text(tsv(header, rows))
     manifest.phase("write")
     manifest.write(_manifest_path(args, args.out))
     return EXIT_OK
@@ -251,6 +245,8 @@ def _parse_deltas(raw: str):
         raise _UsageError("--deltas must list at least one value")
     if len(set(deltas)) != len(deltas):
         raise _UsageError(f"--deltas repeats a value: {raw!r}")
+    if not all(np.isfinite(d) and d >= 0 for d in deltas):
+        raise _UsageError(f"--deltas must be finite and >= 0: {raw!r}")
     return deltas
 
 
@@ -278,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="model document path")
     p.add_argument("data", help="observations CSV")
     p.add_argument("--window", type=int, default=1)
-    p.add_argument("--engine", choices=("fast", "naive"), default="fast")
     p.add_argument("--out", required=True)
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_influence)
@@ -329,7 +324,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, FileNotFoundError, ModelError) as exc:
+    except (DataFormatError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (

@@ -9,7 +9,6 @@ variant removes h consecutive observations at a time in O(n h m^2).
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +40,6 @@ class InfluenceProfile:
     k: np.ndarray
     loo_marginals: np.ndarray
     marginals: np.ndarray
-    labels: Optional[Sequence[str]] = None
 
     def __len__(self) -> int:
         return self.k.size
@@ -53,7 +51,6 @@ class WindowInfluenceProfile:
 
     h: int
     k: np.ndarray
-    labels: Optional[Sequence[str]] = None
 
     def __len__(self) -> int:
         return self.k.size
@@ -113,7 +110,7 @@ def kld_influence(model: HmmModel, obs: ObservationSequence) -> InfluenceProfile
     for j in range(n):
         loo[j] = loo_marginal(star, fb, j)
         k[j] = kl_divergence(loo[j], marg[j])
-    return InfluenceProfile(k=k, loo_marginals=loo, marginals=marg, labels=obs.labels)
+    return InfluenceProfile(k=k, loo_marginals=loo, marginals=marg)
 
 
 def _row_normalized(mat: np.ndarray) -> np.ndarray:
@@ -171,5 +168,4 @@ def windowed_influence(
         # kernel divergence is infinite.
         k += np.where(m_star > 0, m_star * row_kl, 0.0).sum(axis=1)
         m_star = (m_star[:, None, :] @ kernel_star)[:, 0, :]
-    labels = obs.labels[: num_windows] if obs.labels is not None else None
-    return WindowInfluenceProfile(h=h, k=k, labels=labels)
+    return WindowInfluenceProfile(h=h, k=k)

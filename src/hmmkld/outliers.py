@@ -20,6 +20,11 @@ from .model import ModelError, ObservationSequence
 from .training import DegenerateFitError, EmConfig, em_fit, kmeans_1d
 
 LOF_R_RANGE = (10, 20)
+# The per-replicate EM fit and the z-score clustering both use this many
+# states; the fit stops after EM_MAX_ITERS iterations.
+NUM_STATES = 3
+EM_MAX_ITERS = 300
+CI_LEVEL = 0.95
 
 
 @dataclass(frozen=True)
@@ -86,13 +91,14 @@ class LofStatResult:
         return float(np.max(self.scores))
 
 
-def lof_statistic(values, r_range: Tuple[int, int] = LOF_R_RANGE) -> LofStatResult:
-    """Max-over-r LOF on (time, value) points with both axes standardized."""
+def lof_statistic(values) -> LofStatResult:
+    """Max-over-r LOF, r over LOF_R_RANGE, on (time, value) points with
+    both axes standardized."""
     x = np.asarray(values, dtype=float)
     n = x.size
     t = np.arange(n, dtype=float)
     pts = np.column_stack([_standardize(t), _standardize(x)])
-    lo, hi = r_range
+    lo, hi = LOF_R_RANGE
     clipped = False
     if hi >= n:
         hi = n - 1
@@ -122,9 +128,7 @@ class SimulationConfig:
     noise_std: float = 3.0
     replicates: int = 1000
     seed: int = 0
-    num_states: int = 3
     em_restarts: int = 5
-    em_max_iters: int = 300
 
     def __post_init__(self):
         self.source = np.asarray(self.source, dtype=float)
@@ -177,9 +181,9 @@ def simulate(cfg: SimulationConfig, hypothesis: str, replicate: int) -> ScoredRe
         values, positions = _draw_series(cfg, hypothesis, rng)
         obs = ObservationSequence(values)
         em_cfg = EmConfig(
-            num_states=cfg.num_states,
+            num_states=NUM_STATES,
             num_restarts=cfg.em_restarts,
-            max_iters=cfg.em_max_iters,
+            max_iters=EM_MAX_ITERS,
             tie_transitions=True,
             homoscedastic=True,
             seed=int(rng.integers(2**63)),
@@ -193,7 +197,7 @@ def simulate(cfg: SimulationConfig, hypothesis: str, replicate: int) -> ScoredRe
                 raise
             continue
         profile = kld_influence(fit.model, obs)
-        zres = z_value_scores(values, k=cfg.num_states, seed=rng)
+        zres = z_value_scores(values, k=NUM_STATES, seed=rng)
         lres = lof_statistic(values)
         return ScoredReplicate(
             label=hypothesis,
@@ -209,10 +213,9 @@ def simulate(cfg: SimulationConfig, hypothesis: str, replicate: int) -> ScoredRe
 
 @dataclass(frozen=True)
 class RocResult:
-    """Empirical AUC with a bootstrap percentile confidence interval."""
+    """Empirical AUC with a CI_LEVEL bootstrap percentile confidence interval."""
 
     auc: float
-    ci_level: float
     ci_lower: float
     ci_upper: float
 
@@ -221,7 +224,6 @@ def empirical_auc(
     scores_h1,
     scores_h0,
     num_bootstrap: int = 2000,
-    ci_level: float = 0.95,
     seed: int = 0,
 ) -> RocResult:
     """AUC P(h1 > h0) + P(h1 = h0) / 2 with a bootstrap percentile CI."""
@@ -245,11 +247,10 @@ def empirical_auc(
         draws0[b] = code0[rng.integers(h0.size, size=h0.size)]
     aucs = _pair_count_auc(draws1, draws0, distinct.size)
     auc, boot = aucs[0], aucs[1:]
-    tail = (1.0 - ci_level) / 2.0
+    tail = (1.0 - CI_LEVEL) / 2.0
     lower, upper = np.quantile(boot, [tail, 1.0 - tail])
     return RocResult(
         auc=float(auc),
-        ci_level=ci_level,
         ci_lower=float(min(lower, auc)),
         ci_upper=float(max(upper, auc)),
     )

@@ -156,7 +156,7 @@ def kld_influence_naive(model: HmmModel, obs: ObservationSequence) -> InfluenceP
     loo = rec_fwd * rec_bwd
     loo /= loo.sum(axis=1, keepdims=True)
     k = np.array([kl_divergence(loo[j], marg[j]) for j in range(n)])
-    return InfluenceProfile(k=k, loo_marginals=loo, marginals=marg, labels=obs.labels)
+    return InfluenceProfile(k=k, loo_marginals=loo, marginals=marg)
 
 
 def chain_marginals(initial: np.ndarray, transition: np.ndarray, n: int) -> np.ndarray:

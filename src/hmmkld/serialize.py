@@ -22,7 +22,7 @@ round-trip precision so rewriting a parsed document is byte-stable.
 import csv
 import io
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -212,36 +212,32 @@ def _is_number(s: str) -> bool:
         return False
 
 
-def influence_tsv(profile: InfluenceProfile, labels: Optional[List[str]] = None) -> str:
-    """TSV with columns label, K, p_loo_1..m, p_post_1..m."""
-    n, m = profile.marginals.shape
-    if labels is None:
-        labels = list(profile.labels) if profile.labels else [str(i + 1) for i in range(n)]
+def tsv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Tab-separated table: the header line, then one line per row. Floats
+    are written with shortest round-trip precision, other fields with str."""
+    lines = ["\t".join(header)]
+    for row in rows:
+        lines.append("\t".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def influence_tsv(profile: InfluenceProfile, labels: Sequence[str]) -> str:
+    """TSV with columns label, K, p_loo_1..m, p_post_1..m; one label per
+    observation."""
+    m = profile.marginals.shape[1]
     header = (
         ["label", "K"]
         + [f"p_loo_{s + 1}" for s in range(m)]
         + [f"p_post_{s + 1}" for s in range(m)]
     )
-    lines = ["\t".join(header)]
-    for j in range(n):
-        fields = [labels[j], _fmt(profile.k[j])]
-        fields += [_fmt(v) for v in profile.loo_marginals[j]]
-        fields += [_fmt(v) for v in profile.marginals[j]]
-        lines.append("\t".join(fields))
-    return "\n".join(lines) + "\n"
+    rows = zip(labels, profile.k, profile.loo_marginals, profile.marginals)
+    return tsv(header, ([label, k, *loo, *post] for label, k, loo, post in rows))
 
 
-def window_influence_tsv(
-    profile: WindowInfluenceProfile, labels: Optional[List[str]] = None
-) -> str:
-    """TSV with columns label, K; label marks the window start."""
-    n = len(profile)
-    if labels is None:
-        labels = list(profile.labels) if profile.labels else [str(i + 1) for i in range(n)]
-    lines = ["label\tK"]
-    for j in range(n):
-        lines.append(f"{labels[j]}\t{_fmt(profile.k[j])}")
-    return "\n".join(lines) + "\n"
+def window_influence_tsv(profile: WindowInfluenceProfile, labels: Sequence[str]) -> str:
+    """TSV with columns label, K; ``labels`` has one label per observation,
+    and a window's row carries the label of its first observation."""
+    return tsv(["label", "K"], zip(labels, profile.k))
 
 
 def _is_real(v) -> bool:

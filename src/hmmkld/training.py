@@ -21,6 +21,9 @@ from .model import (
 )
 
 SIGMA_FLOOR = 1e-8
+# EM stops when the log-likelihood moves by at most this fraction of its
+# magnitude (or absolutely, below magnitude 1).
+EM_TOL = 1e-8
 _DEGENERATE_WEIGHT = 1e-12
 
 
@@ -83,7 +86,6 @@ class EmConfig:
 
     num_states: int
     max_iters: int = 500
-    tol: float = 1e-8
     num_restarts: int = 20
     seed: int = 0
     tie_transitions: bool = False
@@ -92,8 +94,6 @@ class EmConfig:
     def __post_init__(self):
         if self.num_states < 1:
             raise ModelError("num_states must be >= 1")
-        if self.tol <= 0:
-            raise ModelError("tolerance must be > 0")
 
 
 @dataclass
@@ -208,7 +208,7 @@ def _single_em_run(obs, cfg: EmConfig, rng) -> EmResult:
         trace.append(fb.log_evidence)
         if len(trace) > 1:
             prev, cur = trace[-2], trace[-1]
-            if abs(cur - prev) <= cfg.tol * max(abs(prev), 1.0):
+            if abs(cur - prev) <= EM_TOL * max(abs(prev), 1.0):
                 converged = True
                 break
         weights = posterior_marginals(fb)

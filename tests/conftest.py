@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from hmmkld import DiscreteEmission, GaussianEmission, HmmModel
+from hmmkld import DiscreteEmission, GaussianEmission, HmmModel, training
 
 
 def random_discrete_model(rng, m, k, floor=0.1):
@@ -27,3 +29,24 @@ def random_gaussian_model(rng, m, floor=0.1):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def collapse_m_steps(monkeypatch):
+    """``collapse_m_steps(calls)`` makes ``training._m_step`` raise
+    ``DegenerateFitError``, as an EM collapse would, on the calls numbered
+    in ``calls`` (counting from 1 after this call), or on every call when
+    ``calls`` is None."""
+    real = training._m_step
+
+    def install(calls=None):
+        count = itertools.count(1)
+
+        def m_step(*args):
+            if calls is None or next(count) in calls:
+                raise training.DegenerateFitError("forced collapse")
+            return real(*args)
+
+        monkeypatch.setattr(training, "_m_step", m_step)
+
+    return install

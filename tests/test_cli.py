@@ -122,50 +122,18 @@ class TestTrain:
         )
         assert code == 3
 
+    def test_all_restarts_degenerate_is_numeric_error(
+        self, tmp_path, series_csv, collapse_m_steps, capsys
+    ):
+        collapse_m_steps()
+        out = tmp_path / "m"
+        code = main(["train", str(series_csv), "--restarts", "2", "--out-model", str(out)])
+        assert code == 4
+        assert "all EM restarts were degenerate" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestInfluence:
-    def test_fast_and_naive_agree(self, tmp_path, series_csv, model_file):
-        fast_out = tmp_path / "fast.tsv"
-        naive_out = tmp_path / "naive.tsv"
-        assert (
-            main(
-                [
-                    "influence",
-                    str(model_file),
-                    str(series_csv),
-                    "--engine",
-                    "fast",
-                    "--out",
-                    str(fast_out),
-                ]
-            )
-            == 0
-        )
-        assert (
-            main(
-                [
-                    "influence",
-                    str(model_file),
-                    str(series_csv),
-                    "--engine",
-                    "naive",
-                    "--out",
-                    str(naive_out),
-                ]
-            )
-            == 0
-        )
-
-        def parse(path):
-            rows = [line.split("\t") for line in path.read_text().splitlines()[1:]]
-            return {row[0]: float(row[1]) for row in rows}
-
-        fast = parse(fast_out)
-        naive = parse(naive_out)
-        assert fast.keys() == naive.keys()
-        for label, value in fast.items():
-            assert abs(value - naive[label]) < 1e-9
-
     def test_windowed_output(self, tmp_path, series_csv, model_file):
         out = tmp_path / "win.tsv"
         code = main(
@@ -281,6 +249,14 @@ class TestDetect:
         assert code == 0
         assert "clipped" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("top_k", ["0", "-3"])
+    def test_top_k_below_one_is_usage_error(self, tmp_path, series_csv, top_k):
+        out = tmp_path / "flags.tsv"
+        out.write_text("kept\n")
+        args = ["detect", str(series_csv), "--method", "z", "--top-k", top_k]
+        assert main(args + ["--out", str(out)]) == 2
+        assert out.read_text() == "kept\n"
+
     def test_threshold_mode(self, tmp_path, series_csv):
         out = tmp_path / "thr.tsv"
         code = main(
@@ -392,6 +368,16 @@ class TestSimulateEvaluate:
         assert not out.exists()
         assert not Path(str(out) + ".manifest.json").exists()
 
+    @pytest.mark.parametrize("deltas", ["-1", "nan", "2.0,inf"])
+    def test_bad_delta_is_usage_error(self, tmp_path, series_csv, deltas, capsys):
+        out = tmp_path / "s.jsonl"
+        out.write_text("kept\n")
+        args = ["simulate", str(series_csv), f"--deltas={deltas}", "--replicates", "3"]
+        assert main(args + ["--out", str(out)]) == 2
+        assert "--deltas must be finite and >= 0" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+        assert not Path(str(out) + ".manifest.json").exists()
+
     def test_evaluate_hand_written_records(self, tmp_path):
         scores = tmp_path / "scores.jsonl"
         h1 = replicate_line(hypothesis="H1", delta=2, t_kld=0.7)
@@ -467,3 +453,17 @@ class TestNonFiniteInput:
         out = tmp_path / "flags.tsv"
         assert main(["detect", str(bad_csv), "--method", method, "--out", str(out)]) == 3
         assert "line 6: not a finite number" in capsys.readouterr().err
+
+
+class TestUnreadablePath:
+    def test_directory_as_scores_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "t.tsv"
+        assert main(["evaluate", "--scores", str(tmp_path), "--out", str(out)]) == 3
+        assert str(tmp_path) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_directory_as_influence_data_is_data_error(self, tmp_path, model_file, capsys):
+        out = tmp_path / "inf.tsv"
+        assert main(["influence", str(model_file), str(tmp_path), "--out", str(out)]) == 3
+        assert str(tmp_path) in capsys.readouterr().err
+        assert not out.exists()

@@ -192,13 +192,6 @@ class TestKldInfluence:
                 assert rows[a, b] == kl_divergence(p[a, b], q[a, b])
         assert isinstance(kl_divergence(p[0, 0], q[0, 0]), float)
 
-    def test_labels_carried_through(self, rng):
-        model = random_gaussian_model(rng, 2)
-        obs = ObservationSequence(
-            rng.normal(0, 1, 3), labels=["1880", "1881", "1882"]
-        )
-        assert kld_influence(model, obs).labels == ["1880", "1881", "1882"]
-
 
 class TestNaiveEngine:
     def test_single_observation_closed_form(self, rng):

@@ -263,6 +263,21 @@ class TestSimulate:
         simulate(cfg, "H1", 0)
         assert time.perf_counter() - start < 0.5
 
+    def test_degenerate_fit_is_redrawn(self, collapse_m_steps):
+        # One restart whose three tries all collapse fails the fit, so the
+        # replicate is drawn again from its next derived stream.
+        cfg = SimulationConfig(
+            source=synthetic_source(), noise_std=2.0, seed=3, em_restarts=1
+        )
+        collapse_m_steps({1, 2, 3})
+        first = simulate(cfg, "H1", 0)
+        collapse_m_steps({1, 2, 3})
+        again = simulate(cfg, "H1", 0)
+        assert first.resampled == 1
+        assert again == first
+        # With the collapses used up, the first draw is kept.
+        assert first != simulate(cfg, "H1", 0)
+
     def test_unknown_hypothesis(self):
         cfg = SimulationConfig(source=synthetic_source(), seed=0)
         with pytest.raises(ModelError):

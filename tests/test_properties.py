@@ -1,4 +1,5 @@
-"""Property tests: the whole-array code against its loop references.
+"""Property tests: the whole-array code against its loop references and
+the quadratic oracle, and the symmetries of the influence profile.
 
 Models are drawn at random, including transition matrices within 1e-12 of
 the identity, where posterior marginals sit next to 0 and 1.
@@ -16,6 +17,8 @@ from hmmkld import (
     empirical_auc,
     forward_backward,
     kld_influence,
+    kld_influence_naive,
+    reorder_states,
     windowed_influence,
 )
 from hmmkld.training import _expected_transition_counts
@@ -76,6 +79,38 @@ def test_pointwise_nonnegative_never_nan(problem):
     k = kld_influence(model, obs).k
     assert not np.any(np.isnan(k))
     assert np.all(k >= 0.0)
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_pointwise_matches_naive(problem):
+    model, obs = problem
+    assert_close_or_equal_inf(
+        kld_influence(model, obs).k, kld_influence_naive(model, obs).k, 1e-9
+    )
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.data())
+def test_state_permutation_equivariance(problem, data):
+    model, obs = problem
+    order = np.array(data.draw(st.permutations(range(model.num_states))))
+    base = kld_influence(model, obs)
+    permuted = kld_influence(reorder_states(model, order), obs)
+    assert_close_or_equal_inf(permuted.k, base.k, 1e-9)
+    np.testing.assert_allclose(permuted.marginals, base.marginals[:, order], atol=1e-12)
+    np.testing.assert_allclose(
+        permuted.loo_marginals, base.loo_marginals[:, order], atol=1e-12
+    )
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_window_of_one_matches_pointwise(problem):
+    model, obs = problem
+    assert_close_or_equal_inf(
+        windowed_influence(model, obs, 1).k, kld_influence(model, obs).k, 1e-12
+    )
 
 
 @PROPERTY_SETTINGS

@@ -137,7 +137,7 @@ class TestProfileTsv:
         model = random_gaussian_model(rng, 3)
         obs = ObservationSequence(rng.normal(0, 1, 4), labels=list("abcd"))
         profile = kld_influence(model, obs)
-        text = influence_tsv(profile)
+        text = influence_tsv(profile, obs.label_list())
         lines = text.strip().split("\n")
         assert lines[0].split("\t") == [
             "label",
@@ -158,7 +158,7 @@ class TestProfileTsv:
         model = random_gaussian_model(rng, 2)
         obs = ObservationSequence(rng.normal(0, 1, 6))
         profile = windowed_influence(model, obs, 3)
-        lines = window_influence_tsv(profile).strip().split("\n")
+        lines = window_influence_tsv(profile, obs.label_list()).strip().split("\n")
         assert lines[0] == "label\tK"
         assert len(lines) == 5  # header + (6 - 3 + 1) windows
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hmmkld import (
+    DegenerateFitError,
     EmConfig,
     GaussianEmission,
     HmmModel,
@@ -146,3 +147,34 @@ class TestEmFit:
         assert forward_backward(reordered, obs).log_evidence == pytest.approx(
             forward_backward(model, obs).log_evidence, abs=1e-9
         )
+
+
+class TestDegenerateRestarts:
+    @pytest.fixture
+    def obs(self):
+        return ObservationSequence(np.random.default_rng(4).normal(0, 1, 60))
+
+    def test_collapsed_try_is_retried(self, obs, collapse_m_steps):
+        cfg = EmConfig(num_states=2, num_restarts=2, seed=5)
+        collapse_m_steps({1, 2})
+        result = em_fit(obs, cfg)
+        # Restart 0 succeeds on its third and last try.
+        assert result.degenerate_restarts == 2
+        assert np.all(np.isfinite(result.restart_final_lls))
+
+    def test_restart_degenerate_after_three_tries(self, obs, collapse_m_steps):
+        cfg = EmConfig(num_states=2, num_restarts=3, seed=5)
+        collapse_m_steps({1, 2, 3})
+        result = em_fit(obs, cfg)
+        assert result.degenerate_restarts == 3
+        finals = result.restart_final_lls
+        assert len(finals) == 3
+        assert np.isnan(finals[0])
+        assert np.all(np.isfinite(finals[1:]))
+        assert result.restart_index in (1, 2)
+        assert result.log_likelihoods[-1] == max(finals[1:])
+
+    def test_every_restart_degenerate_raises(self, obs, collapse_m_steps):
+        collapse_m_steps()
+        with pytest.raises(DegenerateFitError, match="all EM restarts were degenerate"):
+            em_fit(obs, EmConfig(num_states=2, num_restarts=2, seed=5))
