@@ -97,6 +97,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     result = em_fit(obs, cfg)
+    manifest.data["fit"] = _fit_summary(result)
     model = result.model
     if args.canonical:
         model = reorder_states(model, canonical_state_order(model))
@@ -145,6 +146,8 @@ def cmd_detect(args) -> int:
     manifest = _Manifest("detect", args)
     if args.top_k is not None and args.top_k < 1:
         raise _UsageError(f"--top-k must be >= 1, got {args.top_k}")
+    if args.threshold is not None and not np.isfinite(args.threshold):
+        raise _UsageError(f"--threshold must be finite, got {args.threshold}")
     obs = read_observations(args.data)
     manifest.phase("load")
     if args.method == "kld":
@@ -156,6 +159,7 @@ def cmd_detect(args) -> int:
             seed=args.seed,
         )
         fit = em_fit(obs, cfg)
+        manifest.data["fit"] = _fit_summary(fit)
         scores = kld_influence(fit.model, obs).k
     elif args.method == "z":
         scores = np.abs(z_value_scores(obs.values, k=args.states, seed=args.seed).scores)
@@ -188,6 +192,17 @@ def cmd_simulate(args) -> int:
         raise _UsageError("--replicates must be >= 1")
     deltas = _parse_deltas(args.deltas)
     source = read_observations(args.data)
+    try:
+        cfg = SimulationConfig(
+            source=source.values,
+            subsample_size=args.subsample,
+            contamination=args.contamination,
+            replicates=args.replicates,
+            seed=args.seed,
+            em_restarts=args.em_restarts,
+        )
+    except ModelError as exc:
+        raise _UsageError(str(exc))
     manifest.phase("load")
 
     out = Path(args.out)
@@ -201,14 +216,6 @@ def cmd_simulate(args) -> int:
         done = parse_replicate_records(kept.decode(errors="replace"), source=str(out))
         os.truncate(out, len(kept))
         mode = "a"
-    cfg = SimulationConfig(
-        source=source.values,
-        subsample_size=args.subsample,
-        contamination=args.contamination,
-        replicates=args.replicates,
-        seed=args.seed,
-        em_restarts=args.em_restarts,
-    )
     # Each record is flushed as soon as it is scored, so an interrupted
     # run leaves every finished replicate for --resume.
     with open(out, mode) as fh:
@@ -234,6 +241,20 @@ def cmd_evaluate(args) -> int:
     manifest.phase("write")
     manifest.write(_manifest_path(args, args.out))
     return EXIT_OK
+
+
+def _fit_summary(result) -> dict:
+    """What each EM restart did, for the manifest; a degenerate restart's
+    final log-likelihood is null."""
+    return {
+        "best_restart": result.restart_index,
+        "degenerate_restarts": result.degenerate_restarts,
+        "restart_final_lls": [
+            ll if np.isfinite(ll) else None for ll in result.restart_final_lls
+        ],
+        "restart_iterations": result.restart_iterations,
+        "restart_converged": result.restart_converged,
+    }
 
 
 def _parse_deltas(raw: str):

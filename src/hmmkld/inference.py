@@ -9,6 +9,7 @@ never overflow the linear-space recursions.
 """
 
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -25,90 +26,139 @@ class ForwardBackward:
     ``log_weights`` caches the per-index log emission weights and
     ``weight_offsets`` the per-index maxima subtracted before
     exponentiation; both are reused by the influence recursions.
+
+    For a lane model every field carries the leading lane axis: ``fwd``
+    is (R, n, m), ``log_scale_fwd`` (R, n) and ``log_evidence`` an array
+    of R values. ``len(fb)`` is n either way.
     """
 
     fwd: np.ndarray
     log_scale_fwd: np.ndarray
     bwd: np.ndarray
     log_scale_bwd: np.ndarray
-    log_evidence: float
+    log_evidence: Union[float, np.ndarray]
     log_weights: np.ndarray
     weight_offsets: np.ndarray
 
     def __len__(self) -> int:
-        return self.fwd.shape[0]
+        return self.fwd.shape[-2]
 
     @property
     def num_states(self) -> int:
-        return self.fwd.shape[1]
+        return self.fwd.shape[-1]
 
     def scaled_weights(self) -> np.ndarray:
-        """exp(log_weights - per-index max), shape (n, m)."""
-        return np.exp(self.log_weights - self.weight_offsets[:, None])
+        """exp(log_weights - per-index max), shape (n, m) or (R, n, m)."""
+        return np.exp(self.log_weights - self.weight_offsets[..., None])
 
-    def log_evidence_at(self, i: int) -> float:
+    def log_evidence_at(self, i: int):
         """log sum_s F_i(s) B_i(s), reconstructed from the scaled rows.
 
         Equals ``log_evidence`` for every i; exposed for consistency checks.
         """
-        total = float(np.dot(self.fwd[i], self.bwd[i]))
-        return np.log(total) + self.log_scale_fwd[i] + self.log_scale_bwd[i]
+        total = (self.fwd[..., i, :] * self.bwd[..., i, :]).sum(axis=-1)
+        return np.log(total) + self.log_scale_fwd[..., i] + self.log_scale_bwd[..., i]
 
 
 def forward_backward(model: HmmModel, obs: ObservationSequence) -> ForwardBackward:
-    """Run the scaled forward and backward recursions on one sequence."""
+    """Run the scaled forward and backward recursions on one sequence.
+
+    A lane model runs all of its R lanes in the same loop over the index,
+    on (n, R, m) arrays; a plain model is a batch of one. Every lane's
+    rows are bit-identical to a separate call on that lane alone.
+    """
     logw = model.log_emission_matrix(obs.values)
-    n, m = logw.shape
-    offsets = logw.max(axis=1)
-    if np.any(np.isneginf(offsets)):
-        bad = int(np.argmax(np.isneginf(offsets)))
+    if model.lanes is None:
+        logw = logw[None]
+    initial = model.initial.reshape(-1, 1, model.num_states)
+    alpha = model.transition.reshape(-1, model.num_states, model.num_states)
+    offsets = logw.max(axis=-1)
+    if (offsets == -np.inf).any():
+        bad = int(np.argmax((offsets == -np.inf).any(axis=0)))
         raise EvidenceImpossibleError(
             f"observation {bad} has zero probability in every state"
         )
-    w = np.exp(logw - offsets[:, None])
+    # Index-major copies, so that each step of the loops below reads and
+    # writes one contiguous (R, m) block. The trailing unit axes let the
+    # transition products run as stacked row- and column-vector matmuls.
+    w = np.ascontiguousarray(np.exp(logw - offsets[..., None]).swapaxes(0, 1))
+    num_lanes, n, m = logw.shape
+    w_row, w_col = w[:, :, None, :], w[:, :, :, None]
 
-    alpha = model.transition
-    fwd = np.empty((n, m))
-    log_scale_fwd = np.empty(n)
-    u = model.initial * w[0]
-    c = u.sum()
-    if c == 0.0:
-        raise EvidenceImpossibleError("impossible evidence at index 0")
-    fwd[0] = u / c
-    log_scale_fwd[0] = np.log(c) + offsets[0]
-    for i in range(1, n):
-        u = fwd[i - 1] @ alpha
-        u *= w[i]
-        c = u.sum()
-        if c == 0.0:
-            raise EvidenceImpossibleError(f"impossible evidence at index {i}")
-        fwd[i] = u / c
-        log_scale_fwd[i] = log_scale_fwd[i - 1] + np.log(c) + offsets[i]
+    # Each step works in place on row views, which zip draws from the
+    # arrays one step at a time, and calls the ufunc reductions directly:
+    # at small R and m, the per-call overhead of indexing and of the
+    # array-method wrappers costs more than the work.
+    add, biggest = np.add.reduce, np.maximum.reduce
+    fwd = np.empty((n, num_lanes, 1, m))
+    c = np.empty((n, num_lanes, 1, 1))
+    bwd = np.empty((n, num_lanes, m, 1))
+    d = np.empty((n, num_lanes, 1, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.multiply(initial, w_row[0], out=fwd[0])
+        add(fwd[0], -1, None, c[0], True)
+        np.divide(fwd[0], c[0], out=fwd[0])
+        for prev, row, w_i, c_i in zip(fwd, fwd[1:], w_row[1:], c[1:]):
+            np.matmul(prev, alpha, out=row)
+            np.multiply(row, w_i, out=row)
+            add(row, -1, None, c_i, True)
+            np.divide(row, c_i, out=row)
 
-    bwd = np.empty((n, m))
-    log_scale_bwd = np.empty(n)
-    bwd[n - 1] = 1.0
-    log_scale_bwd[n - 1] = 0.0
-    for i in range(n - 2, -1, -1):
-        v = alpha @ (w[i + 1] * bwd[i + 1])
-        d = v.max()
-        if d == 0.0:
-            raise EvidenceImpossibleError(f"impossible evidence after index {i}")
-        bwd[i] = v / d
-        log_scale_bwd[i] = log_scale_bwd[i + 1] + np.log(d) + offsets[i + 1]
+        bwd[n - 1] = 1.0
+        v = np.empty((num_lanes, m, 1))
+        for row, ahead, w_ahead, d_i in zip(bwd[-2::-1], bwd[:0:-1], w_col[:0:-1], d[-2::-1]):
+            np.multiply(w_ahead, ahead, out=v)
+            np.matmul(alpha, v, out=row)
+            biggest(row, -2, None, d_i, True)
+            np.divide(row, d_i, out=row)
+    # A zero normalizer makes every later row NaN, so the first zero is
+    # the index where the evidence became impossible.
+    c, d = c[:, :, 0, 0], d[:, :, 0, 0]
+    if not c.all():
+        bad = int(np.argmax((c == 0.0).any(axis=1)))
+        raise EvidenceImpossibleError(f"impossible evidence at index {bad}")
+    if not d[:-1].all():
+        bad = int(n - 2 - np.argmax((d[-2::-1] == 0.0).any(axis=1)))
+        raise EvidenceImpossibleError(f"impossible evidence after index {bad}")
 
+    # Cumulative log scales as running sums of interleaved terms, which
+    # adds them in the order L_i = (L_{i-1} + log c_i) + offset_i.
+    offsets = offsets.T
+    terms = np.empty((2 * n, num_lanes))
+    terms[0::2] = np.log(c)
+    terms[1::2] = offsets
+    log_scale_fwd = np.add.accumulate(terms, axis=0)[1::2]
+    log_scale_bwd = np.zeros((n, num_lanes))
+    if n > 1:
+        terms = terms[: 2 * (n - 1)]
+        # The log runs on the contiguous rows: numpy's vectorized log and
+        # its strided fallback can differ in the last bit.
+        terms[0::2] = np.log(d[:-1])[::-1]
+        terms[1::2] = offsets[:0:-1]
+        log_scale_bwd[-2::-1] = np.add.accumulate(terms, axis=0)[1::2]
+
+    # Back to the caller's layout: lane axis first, or none for a plain model.
+    if model.lanes is None:
+        def out(a):
+            return a[:, 0]
+    else:
+        def out(a):
+            return np.ascontiguousarray(a.swapaxes(0, 1))
+
+    log_scale_fwd = out(log_scale_fwd)
+    log_evidence = log_scale_fwd[..., n - 1]
     return ForwardBackward(
-        fwd=fwd,
+        fwd=out(fwd.reshape(n, num_lanes, m)),
         log_scale_fwd=log_scale_fwd,
-        bwd=bwd,
-        log_scale_bwd=log_scale_bwd,
-        log_evidence=float(log_scale_fwd[n - 1]),
-        log_weights=logw,
-        weight_offsets=offsets,
+        bwd=out(bwd.reshape(n, num_lanes, m)),
+        log_scale_bwd=out(log_scale_bwd),
+        log_evidence=float(log_evidence) if model.lanes is None else log_evidence,
+        log_weights=logw[0] if model.lanes is None else logw,
+        weight_offsets=out(offsets),
     )
 
 
 def posterior_marginals(fb: ForwardBackward) -> np.ndarray:
-    """Posterior state marginals, one row per index, each summing to one."""
+    """Posterior state marginals, one row per index (per lane), each summing to one."""
     prod = fb.fwd * fb.bwd
-    return prod / prod.sum(axis=1, keepdims=True)
+    return prod / prod.sum(axis=-1, keepdims=True)

@@ -23,40 +23,64 @@ class EvidenceImpossibleError(ArithmeticError):
     """Raised when the observed sequence has probability exactly zero."""
 
 
-def _as_prob_vector(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ModelError(f"{name} must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(v)):
-        raise ModelError(f"{name} has non-finite entries")
-    if np.any(v < 0):
-        raise ModelError(f"{name} has negative entries")
-    if abs(v.sum() - 1.0) > PROB_TOL:
-        raise ModelError(f"{name} does not sum to 1 (got {v.sum()!r})")
-    return v
+def _as_prob_rows(a, name: str, row_axes: int) -> np.ndarray:
+    """Validate probability vectors along the last axis, all rows at once.
+
+    ``row_axes`` counts the axes that index rows in a plain model (0 for a
+    vector, 1 for a matrix); one more leading axis is a lane axis.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim not in (row_axes + 1, row_axes + 2) or a.shape[-1] < 1:
+        raise ModelError(f"{name} must be a non-empty {row_axes + 1}-D array")
+    sums = a.sum(axis=-1)
+    # One pass for the common valid case: a NaN or infinite entry makes
+    # its row sum fail the first test.
+    if (np.abs(sums - 1.0) <= PROB_TOL).all() and (a >= 0.0).all():
+        return a
+    for bad, what in (
+        (~np.isfinite(a).all(axis=-1), "has non-finite entries"),
+        ((a < 0).any(axis=-1), "has negative entries"),
+        (np.abs(sums - 1.0) > PROB_TOL, "does not sum to 1"),
+    ):
+        if bad.any():
+            where = np.unravel_index(np.argmax(bad), bad.shape)
+            label = f"{name} row {where[-1]}" if row_axes else name
+            if a.ndim > row_axes + 1:
+                label = f"lane {where[0]}: {label}"
+            if what == "does not sum to 1":
+                what += f" (got {sums[where]!r})"
+            raise ModelError(f"{label} {what}")
+    return a
+
+
+def _lanes(a: np.ndarray, plain_ndim: int) -> Optional[int]:
+    return a.shape[0] if a.ndim > plain_ndim else None
 
 
 @dataclass(frozen=True)
 class DiscreteEmission:
-    """Emission table: row s gives the distribution of symbols given state s."""
+    """Emission table: row s gives the distribution of symbols given state s.
+
+    A table of shape (R, m, k) holds one emission table per lane.
+    """
 
     table: np.ndarray
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=float)
-        if table.ndim != 2:
-            raise ModelError("emission table must be 2-D")
-        for s in range(table.shape[0]):
-            _as_prob_vector(table[s], f"emission row {s}")
+        table = _as_prob_rows(self.table, "emission", 1)
         object.__setattr__(self, "table", table)
 
     @property
     def num_states(self) -> int:
-        return self.table.shape[0]
+        return self.table.shape[-2]
 
     @property
     def num_symbols(self) -> int:
-        return self.table.shape[1]
+        return self.table.shape[-1]
+
+    @property
+    def lanes(self) -> Optional[int]:
+        return _lanes(self.table, 2)
 
     def log_density_matrix(self, values: np.ndarray) -> np.ndarray:
         symbols = np.asarray(values)
@@ -71,7 +95,7 @@ class DiscreteEmission:
                 f"{symbols[(symbols < 0) | (symbols >= self.num_symbols)][0]}"
             )
         with np.errstate(divide="ignore"):
-            return np.log(self.table[:, symbols].T)
+            return np.log(self.table[..., symbols].swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -79,7 +103,8 @@ class GaussianEmission:
     """Gaussian emissions with per-state means.
 
     ``sigmas`` holds one standard deviation per state; the homoscedastic
-    variant shares a single value across states.
+    variant shares a single value across states. Means and sigmas of
+    shape (R, m) hold one emission model per lane.
     """
 
     means: np.ndarray
@@ -90,11 +115,13 @@ class GaussianEmission:
         sigmas = np.asarray(self.sigmas, dtype=float)
         if sigmas.ndim == 0:
             sigmas = np.full(means.shape, float(sigmas))
+        if means.ndim > 2:
+            raise ModelError("means must be a 1-D vector or one row per lane")
         if means.shape != sigmas.shape:
             raise ModelError("means and sigmas must have matching length")
-        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(sigmas))):
+        if not (np.isfinite(means).all() and np.isfinite(sigmas).all()):
             raise ModelError("means and sigmas must be finite")
-        if np.any(sigmas <= 0):
+        if not (sigmas > 0).all():
             raise ModelError("all sigmas must be strictly positive")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "sigmas", sigmas)
@@ -106,16 +133,20 @@ class GaussianEmission:
 
     @property
     def num_states(self) -> int:
-        return self.means.size
+        return self.means.shape[-1]
+
+    @property
+    def lanes(self) -> Optional[int]:
+        return _lanes(self.means, 1)
 
     @property
     def is_homoscedastic(self) -> bool:
-        return bool(np.all(self.sigmas == self.sigmas[0]))
+        return bool(np.all(self.sigmas == self.sigmas[..., :1]))
 
     def log_density_matrix(self, values: np.ndarray) -> np.ndarray:
         x = np.asarray(values, dtype=float)
-        z = (x[:, None] - self.means[None, :]) / self.sigmas[None, :]
-        return -0.5 * z * z - np.log(self.sigmas)[None, :] - _LOG_SQRT_2PI
+        z = (x[:, None] - self.means[..., None, :]) / self.sigmas[..., None, :]
+        return -0.5 * z * z - np.log(self.sigmas)[..., None, :] - _LOG_SQRT_2PI
 
 
 EmissionModel = Union[DiscreteEmission, GaussianEmission]
@@ -123,31 +154,42 @@ EmissionModel = Union[DiscreteEmission, GaussianEmission]
 
 @dataclass(frozen=True)
 class HmmModel:
-    """Homogeneous HMM with initial distribution, transitions and emissions."""
+    """Homogeneous HMM with initial distribution, transitions and emissions.
+
+    Every parameter may carry one leading lane axis of length R: lane r is
+    then the model (initial[r], transition[r], emission lane r). Inference
+    on a lane model runs all R models over one sequence at once.
+    """
 
     initial: np.ndarray
     transition: np.ndarray
     emission: EmissionModel
 
     def __post_init__(self):
-        initial = _as_prob_vector(self.initial, "initial distribution")
-        transition = np.asarray(self.transition, dtype=float)
-        m = initial.size
-        if transition.shape != (m, m):
-            raise ModelError(f"transition matrix must be {m}x{m}")
-        for r in range(m):
-            _as_prob_vector(transition[r], f"transition row {r}")
+        initial = _as_prob_rows(self.initial, "initial distribution", 0)
+        transition = _as_prob_rows(self.transition, "transition", 1)
+        m = initial.shape[-1]
+        if transition.shape != initial.shape + (m,):
+            raise ModelError(f"transition matrix must be {m}x{m} per lane")
         if self.emission.num_states != m:
             raise ModelError("emission model has wrong number of states")
+        if self.emission.lanes != _lanes(initial, 1):
+            raise ModelError("emission model has a different number of lanes")
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "transition", transition)
 
     @property
     def num_states(self) -> int:
-        return self.initial.size
+        return self.initial.shape[-1]
+
+    @property
+    def lanes(self) -> Optional[int]:
+        """Number of lanes R, or None for a plain model."""
+        return _lanes(self.initial, 1)
 
     def log_emission_matrix(self, values) -> np.ndarray:
-        """Per-observation, per-state log emission weights, shape (n, m)."""
+        """Per-observation, per-state log emission weights: shape (n, m),
+        or (R, n, m) for a lane model."""
         return self.emission.log_density_matrix(np.asarray(values))
 
 

@@ -134,6 +134,11 @@ class SimulationConfig:
         self.source = np.asarray(self.source, dtype=float)
         if self.subsample_size > self.source.size:
             raise ModelError("subsample size exceeds source length")
+        if self.subsample_size <= NUM_STATES:
+            raise ModelError(
+                f"subsample size {self.subsample_size} must exceed the "
+                f"{NUM_STATES} states of the per-replicate fit"
+            )
         if not 0.0 <= self.contamination <= 1.0:
             raise ModelError("contamination must be in [0, 1]")
         if self.noise_std < 0:

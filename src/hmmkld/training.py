@@ -6,12 +6,11 @@ standard deviation across states. Initial means come from 1-D k-means;
 multiple jittered restarts guard against local optima.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .inference import forward_backward, posterior_marginals
+from .inference import ForwardBackward, forward_backward, posterior_marginals
 from .model import (
     DiscreteEmission,
     GaussianEmission,
@@ -94,11 +93,18 @@ class EmConfig:
     def __post_init__(self):
         if self.num_states < 1:
             raise ModelError("num_states must be >= 1")
+        if self.max_iters < 1:
+            raise ModelError("max_iters must be >= 1")
 
 
 @dataclass
 class EmResult:
-    """Fitted model plus the log-likelihood trace of the winning restart."""
+    """Fitted model plus the log-likelihood trace of the winning restart.
+
+    The ``restart_*`` lists hold one entry per restart. A restart whose
+    three tries all collapsed has a NaN final log-likelihood, is not
+    converged, and counts the iterations its last try ran.
+    """
 
     model: HmmModel
     log_likelihoods: np.ndarray
@@ -106,119 +112,108 @@ class EmResult:
     restart_index: int
     degenerate_restarts: int = 0
     restart_final_lls: list = field(default_factory=list)
+    restart_iterations: list = field(default_factory=list)
+    restart_converged: list = field(default_factory=list)
 
 
-def _tied_transition(eta: float, m: int) -> np.ndarray:
-    eta = float(np.clip(eta, 0.0, 1.0))
+def _tied_transition(eta, m: int) -> np.ndarray:
+    """Stay probability 1 - eta, eta spread evenly over the other states;
+    one (m, m) matrix per entry of ``eta``."""
+    eta = np.minimum(np.maximum(eta, 0.0), 1.0)[..., None, None]
     if m == 1:
-        return np.ones((1, 1))
-    mat = np.full((m, m), eta / (m - 1))
-    np.fill_diagonal(mat, 1.0 - eta)
-    return mat
+        return np.ones(eta.shape)
+    return np.where(np.eye(m, dtype=bool), 1.0 - eta, eta / (m - 1))
 
 
-def _initial_gaussian_model(x, cfg: EmConfig, rng) -> HmmModel:
+def _initial_model(x, cfg: EmConfig, rng) -> HmmModel:
+    """Starting model of one try: k-means means with jitter (Gaussian) or
+    a random emission table (discrete), sticky tied transitions."""
     m = cfg.num_states
-    spread = x.std()
-    if spread == 0.0:
-        spread = max(abs(x.mean()), 1.0) * 1e-3
-    _, means = kmeans_1d(x, m, rng)
-    means = means + rng.normal(0.0, 0.1 * spread, m)
-    sigma = max(spread, SIGMA_FLOOR)
-    emission = GaussianEmission.homoscedastic(means, sigma)
-    transition = _tied_transition(0.1, m)
-    initial = np.full(m, 1.0 / m)
-    return HmmModel(initial, transition, emission)
+    if np.issubdtype(x.dtype, np.floating):
+        spread = x.std()
+        if spread == 0.0:
+            spread = max(abs(x.mean()), 1.0) * 1e-3
+        _, means = kmeans_1d(x, m, rng)
+        means = means + rng.normal(0.0, 0.1 * spread, m)
+        emission = GaussianEmission.homoscedastic(means, max(spread, SIGMA_FLOOR))
+    else:
+        table = rng.random((m, int(np.max(x)) + 1)) + 1.0
+        table /= table.sum(axis=1, keepdims=True)
+        emission = DiscreteEmission(table)
+    return HmmModel(np.full(m, 1.0 / m), _tied_transition(0.1, m), emission)
 
 
-def _initial_discrete_model(x, cfg: EmConfig, rng) -> HmmModel:
-    m = cfg.num_states
-    k = int(np.max(x)) + 1
-    table = rng.random((m, k)) + 1.0
-    table /= table.sum(axis=1, keepdims=True)
-    transition = _tied_transition(0.1, m)
-    initial = np.full(m, 1.0 / m)
-    return HmmModel(initial, transition, DiscreteEmission(table))
+def _lane_map(fn, *models) -> HmmModel:
+    """The model whose every parameter array is ``fn`` of that array of each model."""
+    emissions = [model.emission for model in models]
+    emission = type(emissions[0])(
+        *(fn(*(getattr(e, f.name) for e in emissions)) for f in fields(emissions[0]))
+    )
+    return HmmModel(
+        fn(*(model.initial for model in models)),
+        fn(*(model.transition for model in models)),
+        emission,
+    )
+
+
+def _stack(models) -> HmmModel:
+    return _lane_map(lambda *a: np.stack(a), *models)
 
 
 def _expected_transition_counts(model, fb) -> np.ndarray:
-    """Sum over i of the posterior transition distributions, shape (m, m).
+    """Sum over i of the posterior transition distributions, shape (m, m)
+    (per lane for a lane model).
 
     The posterior of the transition i -> i+1 is proportional to
     fwd[i, a] alpha[a, b] w[i+1, b] bwd[i+1, b] with normalizer z[i], so
     the sum over i is one matrix product (Rabiner 1989).
     """
     alpha = model.transition
-    ahead = (fb.scaled_weights() * fb.bwd)[1:]
-    z = ((fb.fwd[:-1] @ alpha) * ahead).sum(axis=1)
-    return alpha * ((fb.fwd[:-1] / z[:, None]).T @ ahead)
+    ahead = (fb.scaled_weights() * fb.bwd)[..., 1:, :]
+    before = fb.fwd[..., :-1, :]
+    z = ((before @ alpha) * ahead).sum(axis=-1)
+    return alpha * ((before / z[..., None]).swapaxes(-1, -2) @ ahead)
 
 
 def _m_step(model, obs_values, cfg, fb, weights) -> HmmModel:
+    """Re-estimated lane model from the posteriors of each lane."""
     m = cfg.num_states
-    state_weight = weights.sum(axis=0)
-    if np.any(state_weight < _DEGENERATE_WEIGHT):
-        raise DegenerateFitError("a state received no posterior weight")
+    lanes, n = weights.shape[:-1]
+    state_weight = weights.sum(axis=-2)
 
-    counts = _expected_transition_counts(model, fb) if m > 1 else None
     if m == 1:
-        transition = np.ones((1, 1))
-    elif cfg.tie_transitions:
-        n = weights.shape[0]
-        off_diag = counts.sum() - np.trace(counts)
-        transition = _tied_transition(off_diag / (n - 1), m)
+        transition = np.ones((lanes, 1, 1))
     else:
-        transition = counts / counts.sum(axis=1, keepdims=True)
+        counts = _expected_transition_counts(model, fb)
+        if cfg.tie_transitions:
+            total = counts.reshape(lanes, -1).sum(axis=-1)
+            off_diag = total - np.trace(counts, axis1=-2, axis2=-1)
+            transition = _tied_transition(off_diag / (n - 1), m)
+        else:
+            transition = counts / counts.sum(axis=-1, keepdims=True)
 
-    initial = weights[0] / weights[0].sum()
+    initial = weights[:, 0] / weights[:, 0].sum(axis=-1, keepdims=True)
 
     if isinstance(model.emission, GaussianEmission):
         x = obs_values
-        means = weights.T @ x / state_weight
-        sq = (x[:, None] - means[None, :]) ** 2
+        means = weights.swapaxes(-1, -2) @ x / state_weight
+        weighted_sq = weights * (x[:, None] - means[:, None, :]) ** 2
         if cfg.homoscedastic:
-            var = float((weights * sq).sum() / weights.shape[0])
-            sigmas = np.full(m, max(np.sqrt(var), SIGMA_FLOOR))
+            var = weighted_sq.reshape(lanes, -1).sum(axis=-1) / n
+            sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
+            sigmas = np.repeat(sigma[:, None], m, axis=1)
         else:
-            var = (weights * sq).sum(axis=0) / state_weight
+            var = weighted_sq.sum(axis=-2) / state_weight
             sigmas = np.maximum(np.sqrt(var), SIGMA_FLOOR)
         emission = GaussianEmission(means, sigmas)
     else:
         k = model.emission.num_symbols
-        symbols = obs_values.astype(int)
-        table = np.zeros((m, k))
-        for y in range(k):
-            table[:, y] = weights[symbols == y].sum(axis=0)
-        table /= table.sum(axis=1, keepdims=True)
+        one_hot = obs_values.astype(int)[:, None] == np.arange(k)
+        table = weights.swapaxes(-1, -2) @ one_hot.astype(float)
+        table /= table.sum(axis=-1, keepdims=True)
         emission = DiscreteEmission(table)
 
     return HmmModel(initial, transition, emission)
-
-
-def _single_em_run(obs, cfg: EmConfig, rng) -> EmResult:
-    x = obs.values.astype(float) if _is_gaussian(obs) else obs.values
-    if _is_gaussian(obs):
-        model = _initial_gaussian_model(x, cfg, rng)
-    else:
-        model = _initial_discrete_model(x, cfg, rng)
-    trace = []
-    converged = False
-    for _ in range(cfg.max_iters):
-        fb = forward_backward(model, obs)
-        trace.append(fb.log_evidence)
-        if len(trace) > 1:
-            prev, cur = trace[-2], trace[-1]
-            if abs(cur - prev) <= EM_TOL * max(abs(prev), 1.0):
-                converged = True
-                break
-        weights = posterior_marginals(fb)
-        model = _m_step(model, x, cfg, fb, weights)
-    return EmResult(
-        model=model,
-        log_likelihoods=np.array(trace),
-        converged=converged,
-        restart_index=0,
-    )
 
 
 def _is_gaussian(obs) -> bool:
@@ -226,37 +221,87 @@ def _is_gaussian(obs) -> bool:
 
 
 def em_fit(obs: ObservationSequence, cfg: EmConfig) -> EmResult:
-    """Best-of-restarts Baum-Welch fit; each restart owns a derived RNG stream."""
+    """Best-of-restarts Baum-Welch fit; each restart owns a derived RNG stream.
+
+    All restarts run in lock-step as the lanes of one lane model, so one
+    forward-backward pass per iteration serves every live restart. A lane
+    leaves the batch when it converges or reaches ``max_iters``. A lane
+    that collapses (some state gets no posterior weight) starts a new try
+    from its own stream; after three collapsed tries the restart is
+    degenerate. The winner is the first restart with the highest final
+    log-likelihood.
+    """
     if len(obs) <= cfg.num_states:
         raise ModelError("need more observations than states")
-    streams = np.random.SeedSequence(cfg.seed).spawn(max(cfg.num_restarts, 1))
-    best: Optional[EmResult] = None
-    best_index = -1
-    degenerate = 0
-    finals = []
-    for idx, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        # A degenerate collapse gets a fresh derived seed before giving up.
-        for _ in range(3):
-            try:
-                result = _single_em_run(obs, cfg, rng)
-                break
-            except DegenerateFitError:
-                degenerate += 1
-                result = None
-        if result is None:
-            finals.append(float("nan"))
-            continue
-        finals.append(float(result.log_likelihoods[-1]))
-        if best is None or result.log_likelihoods[-1] > best.log_likelihoods[-1]:
-            best = result
-            best_index = idx
-    if best is None:
+    x = obs.values.astype(float) if _is_gaussian(obs) else obs.values
+    count = max(cfg.num_restarts, 1)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(count)]
+    traces = [[] for _ in range(count)]  # log-likelihoods of each restart's current try
+    converged = [False] * count
+    tries = [0] * count  # collapsed tries per restart
+    fitted = [None] * count
+
+    # Lane j of ``model`` runs restart lanes[j]; prev[j] is its last
+    # log-likelihood, NaN before the first iteration of a try, which makes
+    # the convergence test false.
+    lanes = np.arange(count)
+    prev = np.full(count, np.nan)
+    model = _stack([_initial_model(x, cfg, rng) for rng in rngs])
+    while lanes.size:
+        fb = forward_backward(model, obs)
+        ll = fb.log_evidence
+        for r, value in zip(lanes.tolist(), ll.tolist()):
+            traces[r].append(value)
+        done = np.abs(ll - prev) <= EM_TOL * np.maximum(np.abs(prev), 1.0)
+        weights = posterior_marginals(fb)
+        collapsed = (weights.sum(axis=-2) < _DEGENERATE_WEIGHT).any(axis=-1) & ~done
+        prev = ll
+        retried = []
+        if done.any() or collapsed.any():
+            for j in np.flatnonzero(done):
+                converged[lanes[j]] = True
+                fitted[lanes[j]] = _lane_map(lambda a: a[j], model)
+            for r in lanes[collapsed].tolist():
+                tries[r] += 1
+                if tries[r] < 3:
+                    traces[r] = []
+                    retried.append(r)
+            step = ~(done | collapsed)
+            lanes, prev = lanes[step], prev[step]
+            if lanes.size:
+                model = _lane_map(lambda a: a[step], model)
+                fb = ForwardBackward(*(getattr(fb, f.name)[step] for f in fields(fb)))
+                weights = weights[step]
+        if lanes.size:
+            model = _m_step(model, x, cfg, fb, weights)
+            # A lane out of iterations keeps the model of its last M-step.
+            spent = np.array([len(traces[r]) == cfg.max_iters for r in lanes.tolist()])
+            if spent.any():
+                for j in np.flatnonzero(spent):
+                    fitted[lanes[j]] = _lane_map(lambda a: a[j], model)
+                lanes, prev = lanes[~spent], prev[~spent]
+                if lanes.size:
+                    model = _lane_map(lambda a: a[~spent], model)
+        if retried:
+            fresh = _stack([_initial_model(x, cfg, rngs[r]) for r in retried])
+            model = _lane_map(lambda *a: np.concatenate(a), model, fresh) if lanes.size else fresh
+            lanes = np.concatenate([lanes, retried])
+            prev = np.concatenate([prev, np.full(len(retried), np.nan)])
+
+    if fitted.count(None) == count:
         raise DegenerateFitError("all EM restarts were degenerate")
-    best.restart_index = best_index
-    best.degenerate_restarts = degenerate
-    best.restart_final_lls = finals
-    return best
+    finals = [trace[-1] if fit is not None else np.nan for trace, fit in zip(traces, fitted)]
+    best = int(np.nanargmax(finals))
+    return EmResult(
+        model=fitted[best],
+        log_likelihoods=np.array(traces[best]),
+        converged=converged[best],
+        restart_index=best,
+        degenerate_restarts=sum(tries),
+        restart_final_lls=finals,
+        restart_iterations=[len(trace) for trace in traces],
+        restart_converged=converged,
+    )
 
 
 def canonical_state_order(model: HmmModel) -> np.ndarray:

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -32,21 +30,37 @@ def rng():
 
 
 @pytest.fixture
-def collapse_m_steps(monkeypatch):
-    """``collapse_m_steps(calls)`` makes ``training._m_step`` raise
-    ``DegenerateFitError``, as an EM collapse would, on the calls numbered
-    in ``calls`` (counting from 1 after this call), or on every call when
-    ``calls`` is None."""
-    real = training._m_step
+def collapse_tries(monkeypatch):
+    """``collapse_tries(keys)`` makes each EM try named in ``keys``, a set
+    of ``(restart, try)`` pairs counted from 0, start from a model in which
+    no path enters state 0. State 0 then gets no posterior weight, so the
+    try collapses at its first M-step, as a real collapse would. Each key
+    fires once; with ``keys`` None every try collapses."""
+    real = training._initial_model
 
-    def install(calls=None):
-        count = itertools.count(1)
+    def install(keys=None):
+        pending = None if keys is None else set(keys)
+        tries = {}
 
-        def m_step(*args):
-            if calls is None or next(count) in calls:
-                raise training.DegenerateFitError("forced collapse")
-            return real(*args)
+        def initial_model(x, cfg, rng):
+            model = real(x, cfg, rng)
+            # em_fit gives restart r the stream spawned r-th from its seed.
+            key = (rng.bit_generator.seed_seq.spawn_key[-1], tries.setdefault(rng, 0))
+            tries[rng] += 1
+            if pending is not None:
+                if key not in pending:
+                    return model
+                pending.discard(key)
+            initial = model.initial.copy()
+            initial[0] = 0.0
+            transition = model.transition.copy()
+            transition[:, 0] = 0.0
+            return HmmModel(
+                initial / initial.sum(),
+                transition / transition.sum(axis=1, keepdims=True),
+                model.emission,
+            )
 
-        monkeypatch.setattr(training, "_m_step", m_step)
+        monkeypatch.setattr(training, "_initial_model", initial_model)
 
     return install

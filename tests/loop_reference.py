@@ -1,18 +1,32 @@
 """Loop-at-a-time versions of the whole-array library code, kept as test oracles.
 
 Each function here steps through Python loops the way the library did
-before its window, transition-count and bootstrap computations became
+before its window, transition-count, bootstrap and EM computations became
 whole-array numpy. The property tests require the library to match them.
 """
 
 import numpy as np
 
 from hmmkld import (
+    DegenerateFitError,
+    DiscreteEmission,
+    EmResult,
+    GaussianEmission,
+    HmmModel,
     LeaveOneOutImpossibleError,
     ModelError,
     forward_backward,
     forward_star,
     posterior_marginals,
+)
+from hmmkld.training import (
+    EM_TOL,
+    SIGMA_FLOOR,
+    _DEGENERATE_WEIGHT,
+    _expected_transition_counts,
+    _initial_model,
+    _is_gaussian,
+    _tied_transition,
 )
 
 
@@ -100,3 +114,104 @@ def bootstrap_auc_loop(h1, h0, num_bootstrap, ci_level, seed) -> tuple:
     tail = (1.0 - ci_level) / 2.0
     lower, upper = np.quantile(boot, [tail, 1.0 - tail])
     return float(auc), float(min(lower, auc)), float(max(upper, auc))
+
+
+def m_step_loop(model, obs_values, cfg, fb, weights) -> HmmModel:
+    """Baum-Welch M-step of one plain model, one emission symbol at a time."""
+    m = cfg.num_states
+    state_weight = weights.sum(axis=0)
+    if np.any(state_weight < _DEGENERATE_WEIGHT):
+        raise DegenerateFitError("a state received no posterior weight")
+
+    counts = _expected_transition_counts(model, fb) if m > 1 else None
+    if m == 1:
+        transition = np.ones((1, 1))
+    elif cfg.tie_transitions:
+        n = weights.shape[0]
+        off_diag = counts.sum() - np.trace(counts)
+        transition = _tied_transition(off_diag / (n - 1), m)
+    else:
+        transition = counts / counts.sum(axis=1, keepdims=True)
+
+    initial = weights[0] / weights[0].sum()
+
+    if isinstance(model.emission, GaussianEmission):
+        x = obs_values
+        means = weights.T @ x / state_weight
+        sq = (x[:, None] - means[None, :]) ** 2
+        if cfg.homoscedastic:
+            var = float((weights * sq).sum() / weights.shape[0])
+            sigmas = np.full(m, max(np.sqrt(var), SIGMA_FLOOR))
+        else:
+            var = (weights * sq).sum(axis=0) / state_weight
+            sigmas = np.maximum(np.sqrt(var), SIGMA_FLOOR)
+        emission = GaussianEmission(means, sigmas)
+    else:
+        k = model.emission.num_symbols
+        symbols = obs_values.astype(int)
+        table = np.zeros((m, k))
+        for y in range(k):
+            table[:, y] = weights[symbols == y].sum(axis=0)
+        table /= table.sum(axis=1, keepdims=True)
+        emission = DiscreteEmission(table)
+
+    return HmmModel(initial, transition, emission)
+
+
+def _em_try(obs, x, cfg, rng):
+    """One EM try from a fresh starting model: (model, trace, converged)."""
+    model = _initial_model(x, cfg, rng)
+    trace = []
+    for _ in range(cfg.max_iters):
+        fb = forward_backward(model, obs)
+        trace.append(fb.log_evidence)
+        if len(trace) > 1:
+            prev, cur = trace[-2], trace[-1]
+            if abs(cur - prev) <= EM_TOL * max(abs(prev), 1.0):
+                return model, trace, True
+        try:
+            model = m_step_loop(model, x, cfg, fb, posterior_marginals(fb))
+        except DegenerateFitError as exc:
+            exc.iterations = len(trace)
+            raise
+    return model, trace, False
+
+
+def em_fit_loop(obs, cfg) -> EmResult:
+    """Best-of-restarts EM with the restarts run one after another."""
+    if len(obs) <= cfg.num_states:
+        raise ModelError("need more observations than states")
+    x = obs.values.astype(float) if _is_gaussian(obs) else obs.values
+    streams = np.random.SeedSequence(cfg.seed).spawn(max(cfg.num_restarts, 1))
+    best = None
+    degenerate = 0
+    finals, iterations, converged = [], [], []
+    for idx, stream in enumerate(streams):
+        rng = np.random.default_rng(stream)
+        # A degenerate collapse gets a fresh start from the same stream
+        # before giving up.
+        for _ in range(3):
+            try:
+                model, trace, done = _em_try(obs, x, cfg, rng)
+                break
+            except DegenerateFitError as exc:
+                degenerate += 1
+                trace, done = None, False
+                ran = exc.iterations
+        if trace is None:
+            finals.append(float("nan"))
+            iterations.append(ran)
+            converged.append(False)
+            continue
+        finals.append(float(trace[-1]))
+        iterations.append(len(trace))
+        converged.append(done)
+        if best is None or trace[-1] > best.log_likelihoods[-1]:
+            best = EmResult(model, np.array(trace), done, idx)
+    if best is None:
+        raise DegenerateFitError("all EM restarts were degenerate")
+    best.degenerate_restarts = degenerate
+    best.restart_final_lls = finals
+    best.restart_iterations = iterations
+    best.restart_converged = converged
+    return best

@@ -93,6 +93,22 @@ class TestTrain:
         assert manifest["subcommand"] == "train"
         assert "total" in manifest["timings_s"]
 
+    def test_manifest_records_every_restart(self, tmp_path, series_csv, collapse_tries):
+        collapse_tries({(1, 0), (1, 1), (1, 2)})
+        out = tmp_path / "fit.model"
+        report = tmp_path / "fit.report.tsv"
+        args = ["train", str(series_csv), "--restarts", "3", "--seed", "7"]
+        assert main(args + ["--out-model", str(out), "--report", str(report)]) == 0
+        fit = json.loads((tmp_path / "fit.model.manifest.json").read_text())["fit"]
+        assert fit["degenerate_restarts"] == 3
+        assert fit["restart_final_lls"][1] is None
+        assert all(isinstance(ll, float) for ll in fit["restart_final_lls"][::2])
+        assert fit["restart_converged"][1] is False
+        assert len(fit["restart_iterations"]) == 3
+        rows = dict(line.split("\t") for line in report.read_text().splitlines()[1:])
+        assert rows["restart_1_log_likelihood"] == "nan"
+        assert int(rows["iterations"]) == fit["restart_iterations"][fit["best_restart"]]
+
     def test_rerun_is_byte_identical(self, tmp_path, series_csv):
         args = [
             "train",
@@ -123,9 +139,9 @@ class TestTrain:
         assert code == 3
 
     def test_all_restarts_degenerate_is_numeric_error(
-        self, tmp_path, series_csv, collapse_m_steps, capsys
+        self, tmp_path, series_csv, collapse_tries, capsys
     ):
-        collapse_m_steps()
+        collapse_tries()
         out = tmp_path / "m"
         code = main(["train", str(series_csv), "--restarts", "2", "--out-model", str(out)])
         assert code == 4
@@ -257,6 +273,25 @@ class TestDetect:
         assert main(args + ["--out", str(out)]) == 2
         assert out.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_usage_error(self, tmp_path, series_csv, threshold, capsys):
+        out = tmp_path / "flags.tsv"
+        out.write_text("kept\n")
+        args = ["detect", str(series_csv), "--method", "z", f"--threshold={threshold}"]
+        assert main(args + ["--out", str(out)]) == 2
+        assert "--threshold must be finite" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+
+    def test_kld_manifest_records_restarts(self, tmp_path, series_csv):
+        out = tmp_path / "flags.tsv"
+        args = ["detect", str(series_csv), "--method", "kld", "--restarts", "4"]
+        assert main(args + ["--out", str(out)]) == 0
+        fit = json.loads(Path(str(out) + ".manifest.json").read_text())["fit"]
+        assert fit["degenerate_restarts"] == 0
+        assert len(fit["restart_final_lls"]) == 4
+        assert all(n >= 1 for n in fit["restart_iterations"])
+        assert len(fit["restart_converged"]) == 4
+
     def test_threshold_mode(self, tmp_path, series_csv):
         out = tmp_path / "thr.tsv"
         code = main(
@@ -366,6 +401,15 @@ class TestSimulateEvaluate:
         args = ["simulate", str(series_csv), "--deltas", "2.0,2.0", "--out", str(out)]
         assert main(args) == 2
         assert not out.exists()
+        assert not Path(str(out) + ".manifest.json").exists()
+
+    def test_subsample_not_above_states_is_usage_error(self, tmp_path, series_csv, capsys):
+        out = tmp_path / "s.jsonl"
+        out.write_bytes(b"kept\n")
+        args = ["simulate", str(series_csv), "--subsample", "2", "--replicates", "2"]
+        assert main(args + ["--out", str(out)]) == 2
+        assert "subsample size 2" in capsys.readouterr().err
+        assert out.read_bytes() == b"kept\n"
         assert not Path(str(out) + ".manifest.json").exists()
 
     @pytest.mark.parametrize("deltas", ["-1", "nan", "2.0,inf"])

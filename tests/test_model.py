@@ -123,6 +123,56 @@ class TestInvariants:
             build()
 
 
+class TestLaneModel:
+    def lane_model(self):
+        return HmmModel(
+            [[0.5, 0.5], [0.2, 0.8], [1.0, 0.0]],
+            [[[0.9, 0.1], [0.2, 0.8]]] * 3,
+            GaussianEmission([[0.0, 1.0], [-1.0, 2.0], [0.5, 0.5]], 1.0),
+        )
+
+    def test_lane_count_and_log_emission_shape(self):
+        model = self.lane_model()
+        assert model.lanes == 3
+        assert model.num_states == 2
+        assert two_state_discrete().lanes is None
+        logw = model.log_emission_matrix(np.array([0.0, 1.0, 4.0, 2.0]))
+        assert logw.shape == (3, 4, 2)
+        lane = HmmModel(
+            model.initial[1], model.transition[1], GaussianEmission([-1.0, 2.0], 1.0)
+        )
+        np.testing.assert_array_equal(
+            logw[1], lane.log_emission_matrix(np.array([0.0, 1.0, 4.0, 2.0]))
+        )
+
+    def test_discrete_lanes(self):
+        table = np.array([[[0.9, 0.1], [0.2, 0.8]], [[0.5, 0.5], [0.3, 0.7]]])
+        emission = DiscreteEmission(table)
+        assert emission.lanes == 2
+        logw = emission.log_density_matrix(np.array([1, 0, 1]))
+        assert logw.shape == (2, 3, 2)
+        np.testing.assert_array_equal(logw[1, 2], np.log(table[1, :, 1]))
+
+    def test_bad_row_names_its_lane(self):
+        transition = np.array([[[0.9, 0.1], [0.2, 0.8]], [[0.9, 0.1], [0.3, 0.8]]])
+        with pytest.raises(ModelError, match="lane 1: transition row 1 does not sum to 1"):
+            HmmModel(
+                [[0.5, 0.5], [0.5, 0.5]],
+                transition,
+                GaussianEmission([[0.0, 1.0], [0.0, 1.0]], 1.0),
+            )
+
+    def test_lane_counts_must_match(self):
+        with pytest.raises(ModelError, match="different number of lanes"):
+            HmmModel(
+                [[0.5, 0.5], [0.5, 0.5]],
+                [[[0.9, 0.1], [0.2, 0.8]]] * 2,
+                GaussianEmission([0.0, 1.0], 1.0),
+            )
+        with pytest.raises(ModelError, match="per lane"):
+            HmmModel([[0.5, 0.5]] * 2, [[0.9, 0.1], [0.2, 0.8]], GaussianEmission([0.0, 1.0], 1.0))
+
+
 class TestSample:
     def test_absorbing_chain_constant_path(self):
         model = HmmModel(

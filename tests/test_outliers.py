@@ -263,15 +263,15 @@ class TestSimulate:
         simulate(cfg, "H1", 0)
         assert time.perf_counter() - start < 0.5
 
-    def test_degenerate_fit_is_redrawn(self, collapse_m_steps):
+    def test_degenerate_fit_is_redrawn(self, collapse_tries):
         # One restart whose three tries all collapse fails the fit, so the
         # replicate is drawn again from its next derived stream.
         cfg = SimulationConfig(
             source=synthetic_source(), noise_std=2.0, seed=3, em_restarts=1
         )
-        collapse_m_steps({1, 2, 3})
+        collapse_tries({(0, 0), (0, 1), (0, 2)})
         first = simulate(cfg, "H1", 0)
-        collapse_m_steps({1, 2, 3})
+        collapse_tries({(0, 0), (0, 1), (0, 2)})
         again = simulate(cfg, "H1", 0)
         assert first.resampled == 1
         assert again == first
@@ -290,6 +290,8 @@ class TestSimulate:
             SimulationConfig(source=synthetic_source(), contamination=1.5)
         with pytest.raises(ModelError):
             SimulationConfig(source=synthetic_source(), noise_std=-1.0)
+        with pytest.raises(ModelError, match="subsample size 3 must exceed the 3 states"):
+            SimulationConfig(source=synthetic_source(), subsample_size=3)
 
 
 class TestRunBenchmark:

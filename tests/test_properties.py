@@ -1,19 +1,23 @@
 """Property tests: the whole-array code against its loop references and
-the quadratic oracle, and the symmetries of the influence profile.
+the quadratic oracle, lane inference and lock-step EM against one-at-a-time
+runs, and the symmetries of the influence profile.
 
 Models are drawn at random, including transition matrices within 1e-12 of
 the identity, where posterior marginals sit next to 0 and 1.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmmkld import (
     DiscreteEmission,
+    EmConfig,
     GaussianEmission,
     HmmModel,
     ObservationSequence,
+    em_fit,
     empirical_auc,
     forward_backward,
     kld_influence,
@@ -23,31 +27,40 @@ from hmmkld import (
 )
 from hmmkld.training import _expected_transition_counts
 
-from loop_reference import bootstrap_auc_loop, transition_counts_loop, windowed_influence_loop
+from loop_reference import (
+    bootstrap_auc_loop,
+    em_fit_loop,
+    transition_counts_loop,
+    windowed_influence_loop,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def problems(draw, max_n=300):
-    """(model, observations) with m in 1..4 states and n in 1..max_n."""
+def problems(draw, max_n=300, lanes=None):
+    """(model, observations) with m in 1..4 states and n in 1..max_n; with
+    ``lanes`` set, a lane model of that many random lanes."""
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, max_n))
     stickiness = draw(st.sampled_from([0.0, 0.9, 1.0 - 1e-6, 1.0 - 1e-12]))
     discrete = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    initial = rng.random(m) + 0.05
-    initial /= initial.sum()
-    transition = rng.random((m, m)) + 0.05
-    transition /= transition.sum(axis=1, keepdims=True)
+    shape = () if lanes is None else (lanes,)
+    initial = rng.random(shape + (m,)) + 0.05
+    initial /= initial.sum(axis=-1, keepdims=True)
+    transition = rng.random(shape + (m, m)) + 0.05
+    transition /= transition.sum(axis=-1, keepdims=True)
     transition = stickiness * np.eye(m) + (1.0 - stickiness) * transition
     if discrete:
-        table = rng.random((m, 3)) + 0.05
-        table /= table.sum(axis=1, keepdims=True)
+        table = rng.random(shape + (m, 3)) + 0.05
+        table /= table.sum(axis=-1, keepdims=True)
         model = HmmModel(initial, transition, DiscreteEmission(table))
         values = rng.integers(0, 3, n)
     else:
-        emission = GaussianEmission(rng.normal(0, 2, m), rng.uniform(0.1, 1.5, m))
+        emission = GaussianEmission(
+            rng.normal(0, 2, shape + (m,)), rng.uniform(0.1, 1.5, shape + (m,))
+        )
         model = HmmModel(initial, transition, emission)
         values = rng.normal(0, 2.5, n)
     return model, ObservationSequence(values)
@@ -139,4 +152,75 @@ def test_auc_and_ci_equal_loop_exactly(h1, h0, num_bootstrap, seed):
     roc = empirical_auc(h1, h0, num_bootstrap=num_bootstrap, seed=seed)
     assert (roc.auc, roc.ci_lower, roc.ci_upper) == bootstrap_auc_loop(
         h1, h0, num_bootstrap, 0.95, seed
+    )
+
+
+def lane(model, r):
+    """Lane r of a lane model, as a plain model."""
+    emission = model.emission
+    if isinstance(emission, DiscreteEmission):
+        emission = DiscreteEmission(emission.table[r])
+    else:
+        emission = GaussianEmission(emission.means[r], emission.sigmas[r])
+    return HmmModel(model.initial[r], model.transition[r], emission)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 5).flatmap(lambda lanes: problems(max_n=120, lanes=lanes)))
+def test_lane_forward_backward_equals_separate_calls(problem):
+    model, obs = problem
+    fb = forward_backward(model, obs)
+    assert len(fb) == len(obs)
+    assert fb.fwd.shape == (model.lanes, len(obs), model.num_states)
+    for r in range(model.lanes):
+        one = forward_backward(lane(model, r), obs)
+        for name in ("fwd", "bwd", "log_scale_fwd", "log_scale_bwd", "weight_offsets"):
+            np.testing.assert_array_equal(getattr(fb, name)[r], getattr(one, name))
+        assert fb.log_evidence[r] == pytest.approx(one.log_evidence, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def em_problems(draw):
+    """(observations, EmConfig) over discrete and Gaussian emissions, tied
+    and untied transitions, shared and per-state sigmas."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m + 1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = rng.integers(0, draw(st.integers(2, 4)), n)
+    else:
+        centers = rng.normal(0.0, draw(st.sampled_from([0.5, 2.0, 8.0])), m)
+        values = centers[rng.integers(0, m, n)] + rng.normal(0.0, 1.0, n)
+    cfg = EmConfig(
+        num_states=m,
+        max_iters=draw(st.integers(1, 80)),
+        num_restarts=draw(st.integers(1, 6)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        tie_transitions=draw(st.booleans()),
+        homoscedastic=draw(st.booleans()),
+    )
+    return ObservationSequence(values), cfg
+
+
+@PROPERTY_SETTINGS
+@given(em_problems())
+def test_lock_step_em_matches_sequential_restarts(problem):
+    obs, cfg = problem
+    try:
+        expected = em_fit_loop(obs, cfg)
+    except (ArithmeticError, ValueError) as exc:
+        # Degenerate fits and invalid re-estimates fail the same way.
+        with pytest.raises(type(exc)):
+            em_fit(obs, cfg)
+        return
+    result = em_fit(obs, cfg)
+    assert result.restart_index == expected.restart_index
+    assert result.restart_iterations == expected.restart_iterations
+    assert result.restart_converged == expected.restart_converged
+    assert result.degenerate_restarts == expected.degenerate_restarts
+    np.testing.assert_allclose(
+        result.restart_final_lls, expected.restart_final_lls, rtol=1e-9, atol=0.0
+    )
+    np.testing.assert_allclose(
+        result.log_likelihoods, expected.log_likelihoods, rtol=1e-9, atol=0.0
     )

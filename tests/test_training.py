@@ -130,6 +130,24 @@ class TestEmFit:
         diffs = np.diff(result.log_likelihoods)
         assert np.all(diffs >= -1e-9)
 
+    def test_restart_records(self):
+        rng = np.random.default_rng(8)
+        obs = ObservationSequence(rng.normal(0, 1, 70))
+        result = em_fit(obs, EmConfig(num_states=2, num_restarts=4, max_iters=6, seed=1))
+        assert len(result.restart_iterations) == 4
+        assert all(1 <= n <= 6 for n in result.restart_iterations)
+        # Only convergence stops a restart before max_iters.
+        for n, done in zip(result.restart_iterations, result.restart_converged):
+            assert done or n == 6
+        best = result.restart_index
+        assert len(result.log_likelihoods) == result.restart_iterations[best]
+        assert result.converged == result.restart_converged[best]
+        assert result.restart_final_lls[best] == result.log_likelihoods[-1]
+
+    def test_max_iters_must_be_positive(self):
+        with pytest.raises(ModelError, match="max_iters"):
+            EmConfig(num_states=2, max_iters=0)
+
     def test_needs_more_observations_than_states(self):
         with pytest.raises(ModelError):
             em_fit(
@@ -154,17 +172,17 @@ class TestDegenerateRestarts:
     def obs(self):
         return ObservationSequence(np.random.default_rng(4).normal(0, 1, 60))
 
-    def test_collapsed_try_is_retried(self, obs, collapse_m_steps):
+    def test_collapsed_try_is_retried(self, obs, collapse_tries):
         cfg = EmConfig(num_states=2, num_restarts=2, seed=5)
-        collapse_m_steps({1, 2})
+        collapse_tries({(0, 0), (0, 1)})
         result = em_fit(obs, cfg)
         # Restart 0 succeeds on its third and last try.
         assert result.degenerate_restarts == 2
         assert np.all(np.isfinite(result.restart_final_lls))
 
-    def test_restart_degenerate_after_three_tries(self, obs, collapse_m_steps):
+    def test_restart_degenerate_after_three_tries(self, obs, collapse_tries):
         cfg = EmConfig(num_states=2, num_restarts=3, seed=5)
-        collapse_m_steps({1, 2, 3})
+        collapse_tries({(0, 0), (0, 1), (0, 2)})
         result = em_fit(obs, cfg)
         assert result.degenerate_restarts == 3
         finals = result.restart_final_lls
@@ -174,7 +192,15 @@ class TestDegenerateRestarts:
         assert result.restart_index in (1, 2)
         assert result.log_likelihoods[-1] == max(finals[1:])
 
-    def test_every_restart_degenerate_raises(self, obs, collapse_m_steps):
-        collapse_m_steps()
+    def test_every_restart_degenerate_raises(self, obs, collapse_tries):
+        collapse_tries()
         with pytest.raises(DegenerateFitError, match="all EM restarts were degenerate"):
             em_fit(obs, EmConfig(num_states=2, num_restarts=2, seed=5))
+
+    def test_degenerate_restart_records(self, obs, collapse_tries):
+        collapse_tries({(0, 0), (0, 1), (0, 2)})
+        result = em_fit(obs, EmConfig(num_states=2, num_restarts=2, seed=5))
+        # Each try collapses at the M-step after its first E-step.
+        assert result.restart_iterations[0] == 1
+        assert result.restart_converged[0] is False
+        assert result.restart_index == 1
