@@ -1,14 +1,17 @@
 """Command-line entry points: train, influence, detect, simulate, evaluate.
 
-Every run writes a JSON manifest (resolved parameters, seed, file paths,
+Every successful run writes a JSON manifest (resolved parameters, seed,
+file paths, sha256 of each input file, python and numpy versions,
 per-phase wall-clock timings) next to its primary output, so a run can be
 reproduced exactly from the manifest. Exit codes: 0 success, 2 usage,
 3 data or parse failure, 4 numeric failure.
 """
 
 import argparse
+import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -55,12 +58,14 @@ class _UsageError(Exception):
 
 
 class _Manifest:
-    def __init__(self, subcommand: str, args: argparse.Namespace):
+    def __init__(self, args: argparse.Namespace):
         params = {k: v for k, v in vars(args).items() if k != "func"}
         self.data = {
             "tool": "hmmkld",
             "version": __version__,
-            "subcommand": subcommand,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "subcommand": args.subcommand,
             "parameters": params,
             "timings_s": {},
         }
@@ -72,30 +77,40 @@ class _Manifest:
         self.data["timings_s"][name] = round(now - self._phase_start, 6)
         self._phase_start = now
 
-    def write(self, path) -> None:
+    def write(self, args: argparse.Namespace) -> None:
+        """Write to ``--manifest``, or next to the run's primary output,
+        with the sha256 of each input file the arguments name."""
+        self.data["input_sha256"] = {
+            name: hashlib.sha256(Path(getattr(args, name)).read_bytes()).hexdigest()
+            for name in ("data", "model", "scores")
+            if hasattr(args, name)
+        }
         self.data["timings_s"]["total"] = round(time.perf_counter() - self._t0, 6)
-        with open(path, "w") as fh:
+        primary = args.out_model if args.subcommand == "train" else args.out
+        with open(args.manifest or f"{primary}.manifest.json", "w") as fh:
             json.dump(self.data, fh, indent=2, sort_keys=True, default=str)
             fh.write("\n")
 
 
-def _manifest_path(args, primary_output: str) -> Path:
-    if args.manifest:
-        return Path(args.manifest)
-    return Path(str(primary_output) + ".manifest.json")
+def _config(cls, **settings):
+    """``cls(**settings)``; a setting the config rejects is a usage error."""
+    try:
+        return cls(**settings)
+    except ModelError as exc:
+        raise _UsageError(str(exc))
 
 
-def cmd_train(args) -> int:
-    manifest = _Manifest("train", args)
-    obs = read_observations(args.data)
-    manifest.phase("load")
-    cfg = EmConfig(
+def cmd_train(args, manifest: _Manifest) -> None:
+    cfg = _config(
+        EmConfig,
         num_states=args.states,
         num_restarts=args.restarts,
         tie_transitions=args.tie_transitions,
         homoscedastic=not args.heteroscedastic,
         seed=args.seed,
     )
+    obs = read_observations(args.data)
+    manifest.phase("load")
     result = em_fit(obs, cfg)
     manifest.data["fit"] = _fit_summary(result)
     model = result.model
@@ -117,12 +132,9 @@ def cmd_train(args) -> int:
         ]
         Path(args.report).write_text(tsv(["field", "value"], rows))
     manifest.phase("write")
-    manifest.write(_manifest_path(args, args.out_model))
-    return EXIT_OK
 
 
-def cmd_influence(args) -> int:
-    manifest = _Manifest("influence", args)
+def cmd_influence(args, manifest: _Manifest) -> None:
     model = read_model(args.model)
     obs = read_observations(args.data)
     if args.window < 1 or args.window > len(obs):
@@ -138,31 +150,30 @@ def cmd_influence(args) -> int:
     manifest.phase("compute")
     Path(args.out).write_text(text)
     manifest.phase("write")
-    manifest.write(_manifest_path(args, args.out))
-    return EXIT_OK
 
 
-def cmd_detect(args) -> int:
-    manifest = _Manifest("detect", args)
+def cmd_detect(args, manifest: _Manifest) -> None:
     if args.top_k is not None and args.top_k < 1:
         raise _UsageError(f"--top-k must be >= 1, got {args.top_k}")
     if args.threshold is not None and not np.isfinite(args.threshold):
         raise _UsageError(f"--threshold must be finite, got {args.threshold}")
+    # Every method checks --states and --restarts; z uses --states as its k.
+    cfg = _config(
+        EmConfig,
+        num_states=args.states,
+        num_restarts=args.restarts,
+        tie_transitions=True,
+        homoscedastic=True,
+        seed=args.seed,
+    )
     obs = read_observations(args.data)
     manifest.phase("load")
     if args.method == "kld":
-        cfg = EmConfig(
-            num_states=args.states,
-            num_restarts=args.restarts,
-            tie_transitions=True,
-            homoscedastic=True,
-            seed=args.seed,
-        )
         fit = em_fit(obs, cfg)
         manifest.data["fit"] = _fit_summary(fit)
         scores = kld_influence(fit.model, obs).k
     elif args.method == "z":
-        scores = np.abs(z_value_scores(obs.values, k=args.states, seed=args.seed).scores)
+        scores = np.abs(z_value_scores(obs.values, k=cfg.num_states, seed=args.seed).scores)
     else:
         result = lof_statistic(obs.values)
         if result.clipped:
@@ -182,27 +193,20 @@ def cmd_detect(args) -> int:
     rows = zip(obs.label_list(), scores, flagged.astype(int))
     Path(args.out).write_text(tsv(["label", "score", "flagged"], rows))
     manifest.phase("write")
-    manifest.write(_manifest_path(args, args.out))
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    manifest = _Manifest("simulate", args)
-    if args.replicates < 1:
-        raise _UsageError("--replicates must be >= 1")
+def cmd_simulate(args, manifest: _Manifest) -> None:
     deltas = _parse_deltas(args.deltas)
     source = read_observations(args.data)
-    try:
-        cfg = SimulationConfig(
-            source=source.values,
-            subsample_size=args.subsample,
-            contamination=args.contamination,
-            replicates=args.replicates,
-            seed=args.seed,
-            em_restarts=args.em_restarts,
-        )
-    except ModelError as exc:
-        raise _UsageError(str(exc))
+    cfg = _config(
+        SimulationConfig,
+        source=source.values,
+        subsample_size=args.subsample,
+        contamination=args.contamination,
+        replicates=args.replicates,
+        seed=args.seed,
+        em_restarts=args.em_restarts,
+    )
     manifest.phase("load")
 
     out = Path(args.out)
@@ -223,12 +227,9 @@ def cmd_simulate(args) -> int:
             fh.write(replicate_record(key, rep))
             fh.flush()
     manifest.phase("simulate")
-    manifest.write(_manifest_path(args, args.out))
-    return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    manifest = _Manifest("evaluate", args)
+def cmd_evaluate(args, manifest: _Manifest) -> None:
     text = Path(args.scores).read_text()
     scored = parse_replicate_records(text, source=args.scores)
     manifest.phase("load")
@@ -239,8 +240,6 @@ def cmd_evaluate(args) -> int:
     ]
     Path(args.out).write_text(tsv(header, rows))
     manifest.phase("write")
-    manifest.write(_manifest_path(args, args.out))
-    return EXIT_OK
 
 
 def _fit_summary(result) -> dict:
@@ -340,8 +339,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.subcommand == "detect" and args.top_k is None and args.threshold is None:
         args.top_k = 5
+    manifest = _Manifest(args)
     try:
-        return args.func(args)
+        args.func(args, manifest)
+        manifest.write(args)
+        return EXIT_OK
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,7 +10,7 @@ Detection power is summarized by the empirical AUC with bootstrap
 confidence intervals.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Collection, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,11 +66,20 @@ def lof_scores(points, r: int) -> np.ndarray:
     n = pts.shape[0]
     if not 1 <= r < n:
         raise ModelError(f"neighbor count {r} out of range [1, {n})")
+    dist, ordered = _distances(pts)
+    return _lof(dist, ordered[:, r - 1])
+
+
+def _distances(pts: np.ndarray) -> tuple:
+    """Pairwise distances (inf on the diagonal) and each row of them sorted."""
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=-1))
     np.fill_diagonal(dist, np.inf)
+    return dist, np.sort(dist, axis=1)
 
-    kdist = np.sort(dist, axis=1)[:, r - 1]
+
+def _lof(dist: np.ndarray, kdist: np.ndarray) -> np.ndarray:
+    """LOF of every point given each point's k-distance."""
     # neighbors[a, b]: b lies within a's k-distance (the diagonal is inf).
     neighbors = dist <= kdist[:, None]
     count = neighbors.sum(axis=1)
@@ -105,10 +114,9 @@ def lof_statistic(values) -> LofStatResult:
         clipped = True
     if lo >= n:
         raise ModelError(f"series too short for LOF neighborhoods (n={n})")
-    best = np.full(n, -np.inf)
-    for r in range(lo, hi + 1):
-        best = np.maximum(best, lof_scores(pts, r))
-    return LofStatResult(scores=best, clipped=clipped)
+    dist, ordered = _distances(pts)
+    scores = np.max([_lof(dist, ordered[:, r - 1]) for r in range(lo, hi + 1)], axis=0)
+    return LofStatResult(scores=scores, clipped=clipped)
 
 
 def _standardize(v: np.ndarray) -> np.ndarray:
@@ -125,7 +133,6 @@ class SimulationConfig:
     source: np.ndarray
     subsample_size: int = 53
     contamination: float = 0.05
-    noise_std: float = 3.0
     replicates: int = 1000
     seed: int = 0
     em_restarts: int = 5
@@ -134,22 +141,24 @@ class SimulationConfig:
         self.source = np.asarray(self.source, dtype=float)
         if self.subsample_size > self.source.size:
             raise ModelError("subsample size exceeds source length")
-        if self.subsample_size <= NUM_STATES:
+        # LOF_R_RANGE[0] > NUM_STATES: this also leaves the fit more points than states.
+        if self.subsample_size <= LOF_R_RANGE[0]:
             raise ModelError(
                 f"subsample size {self.subsample_size} must exceed the "
-                f"{NUM_STATES} states of the per-replicate fit"
+                f"{LOF_R_RANGE[0]} neighbors of the smallest LOF neighborhood"
             )
         if not 0.0 <= self.contamination <= 1.0:
             raise ModelError("contamination must be in [0, 1]")
-        if self.noise_std < 0:
-            raise ModelError("noise std must be >= 0")
+        if self.replicates < 1:
+            raise ModelError(f"replicates must be >= 1, got {self.replicates}")
+        if self.em_restarts < 1:
+            raise ModelError(f"em_restarts must be >= 1, got {self.em_restarts}")
 
 
 @dataclass
 class ScoredReplicate:
     """Global detection statistics of one simulated replicate."""
 
-    label: str  # "H0" | "H1"
     t_kld: float
     s_z: float
     l_lof: float
@@ -159,31 +168,29 @@ class ScoredReplicate:
     lof_clipped: bool = False
 
 
-def _replicate_rng(cfg: SimulationConfig, hypothesis: str, replicate: int, attempt: int):
-    key = (0 if hypothesis == "H0" else 1, replicate, attempt)
-    return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=key))
-
-
-def _draw_series(cfg: SimulationConfig, hypothesis: str, rng):
+def _draw_series(cfg: SimulationConfig, delta: Optional[float], rng):
     idx = np.sort(rng.choice(cfg.source.size, size=cfg.subsample_size, replace=False))
     values = cfg.source[idx].copy()
     positions: List[int] = []
-    if hypothesis == "H1":
+    if delta is not None:
         mask = rng.random(cfg.subsample_size) < cfg.contamination
-        noise = rng.normal(0.0, cfg.noise_std, cfg.subsample_size)
+        noise = rng.normal(0.0, delta, cfg.subsample_size)
         values[mask] += noise[mask]
         positions = np.flatnonzero(mask).tolist()
     return values, positions
 
 
-def simulate(cfg: SimulationConfig, hypothesis: str, replicate: int) -> ScoredReplicate:
-    """Score one replicate; its RNG stream derives from (seed, hypothesis, index)."""
-    if hypothesis not in ("H0", "H1"):
-        raise ModelError(f"hypothesis must be 'H0' or 'H1', got {hypothesis!r}")
+def simulate(cfg: SimulationConfig, delta: Optional[float], replicate: int) -> ScoredReplicate:
+    """Score one replicate: under H0 when ``delta`` is None, else under H1
+    with contamination noise of standard deviation ``delta``. Its RNG
+    stream derives from (seed, hypothesis, index, attempt)."""
+    if delta is not None and not (np.isfinite(delta) and delta >= 0):
+        raise ModelError(f"delta must be finite and >= 0, got {delta!r}")
     attempt = 0
     while True:
-        rng = _replicate_rng(cfg, hypothesis, replicate, attempt)
-        values, positions = _draw_series(cfg, hypothesis, rng)
+        key = (0 if delta is None else 1, replicate, attempt)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=key))
+        values, positions = _draw_series(cfg, delta, rng)
         obs = ObservationSequence(values)
         em_cfg = EmConfig(
             num_states=NUM_STATES,
@@ -205,7 +212,6 @@ def simulate(cfg: SimulationConfig, hypothesis: str, replicate: int) -> ScoredRe
         zres = z_value_scores(values, k=NUM_STATES, seed=rng)
         lres = lof_statistic(values)
         return ScoredReplicate(
-            label=hypothesis,
             t_kld=float(np.max(profile.k)),
             s_z=zres.statistic,
             l_lof=lres.statistic,
@@ -308,13 +314,11 @@ def scored_replicates(
     deltas = [float(d) for d in deltas]
     if len(set(deltas)) != len(deltas):
         raise ModelError(f"repeated delta in {deltas}")
-    cells = [("H0", None, cfg)]
-    cells += [("H1", d, replace(cfg, noise_std=d)) for d in deltas]
-    for hypothesis, delta, cell_cfg in cells:
+    for delta in [None, *deltas]:
         for q in range(cfg.replicates):
-            key = (hypothesis, delta, q)
+            key = ("H0" if delta is None else "H1", delta, q)
             if key not in skip:
-                yield key, simulate(cell_cfg, hypothesis, q)
+                yield key, simulate(cfg, delta, q)
 
 
 def auc_table(

@@ -306,5 +306,5 @@ def parse_replicate_records(
         if key in records:
             raise DataFormatError(f"{where}: repeats replicate {key}")
         fields = {attr: rec[name] for name, (attr, _) in _RECORD_FIELDS.items() if attr}
-        records[key] = ScoredReplicate(label=hypothesis, **fields)
+        records[key] = ScoredReplicate(**fields)
     return records

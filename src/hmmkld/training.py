@@ -95,6 +95,8 @@ class EmConfig:
             raise ModelError("num_states must be >= 1")
         if self.max_iters < 1:
             raise ModelError("max_iters must be >= 1")
+        if self.num_restarts < 1:
+            raise ModelError(f"num_restarts must be >= 1, got {self.num_restarts}")
 
 
 @dataclass
@@ -234,7 +236,7 @@ def em_fit(obs: ObservationSequence, cfg: EmConfig) -> EmResult:
     if len(obs) <= cfg.num_states:
         raise ModelError("need more observations than states")
     x = obs.values.astype(float) if _is_gaussian(obs) else obs.values
-    count = max(cfg.num_restarts, 1)
+    count = cfg.num_restarts
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(count)]
     traces = [[] for _ in range(count)]  # log-likelihoods of each restart's current try
     converged = [False] * count
@@ -254,7 +256,10 @@ def em_fit(obs: ObservationSequence, cfg: EmConfig) -> EmResult:
             traces[r].append(value)
         done = np.abs(ll - prev) <= EM_TOL * np.maximum(np.abs(prev), 1.0)
         weights = posterior_marginals(fb)
-        collapsed = (weights.sum(axis=-2) < _DEGENERATE_WEIGHT).any(axis=-1) & ~done
+        # The untied M-step divides a state's transition counts by its
+        # weight over indices 0..n-2, so that weight must not vanish either.
+        held = weights if cfg.tie_transitions else weights[..., :-1, :]
+        collapsed = (held.sum(axis=-2) < _DEGENERATE_WEIGHT).any(axis=-1) & ~done
         prev = ll
         retried = []
         if done.any() or collapsed.any():

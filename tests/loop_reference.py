@@ -120,7 +120,9 @@ def m_step_loop(model, obs_values, cfg, fb, weights) -> HmmModel:
     """Baum-Welch M-step of one plain model, one emission symbol at a time."""
     m = cfg.num_states
     state_weight = weights.sum(axis=0)
-    if np.any(state_weight < _DEGENERATE_WEIGHT):
+    # An untied transition row is divided by the state's weight over 0..n-2.
+    held = state_weight if cfg.tie_transitions else weights[:-1].sum(axis=0)
+    if np.any(held < _DEGENERATE_WEIGHT):
         raise DegenerateFitError("a state received no posterior weight")
 
     counts = _expected_transition_counts(model, fb) if m > 1 else None

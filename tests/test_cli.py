@@ -1,4 +1,6 @@
+import hashlib
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,10 @@ def replicate_line(drop=None, **changes):
 
 
 H1_LINE = replicate_line(hypothesis="H1", delta=2.0)
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @pytest.fixture
@@ -92,6 +98,9 @@ class TestTrain:
         manifest = json.loads((tmp_path / "fit.model.manifest.json").read_text())
         assert manifest["subcommand"] == "train"
         assert "total" in manifest["timings_s"]
+        assert manifest["input_sha256"] == {"data": sha256(series_csv)}
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
 
     def test_manifest_records_every_restart(self, tmp_path, series_csv, collapse_tries):
         collapse_tries({(1, 0), (1, 1), (1, 2)})
@@ -148,6 +157,16 @@ class TestTrain:
         assert "all EM restarts were degenerate" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_untied_state_held_only_at_last_index_is_numeric_error(self, tmp_path):
+        x = np.random.default_rng(0).normal(0, 1, 30)
+        x[-1] += 10.0
+        data = tmp_path / "shifted.csv"
+        data.write_text("".join(f"{float(v)!r}\n" for v in x))
+        out = tmp_path / "m"
+        args = ["train", str(data), "--states", "3", "--heteroscedastic", "--restarts", "5"]
+        assert main(args + ["--out-model", str(out)]) == 4
+        assert not out.exists()
+
 
 class TestInfluence:
     def test_windowed_output(self, tmp_path, series_csv, model_file):
@@ -181,6 +200,15 @@ class TestInfluence:
             ]
         )
         assert code == 2
+
+    def test_manifest_path_and_input_digests(self, tmp_path, series_csv, model_file):
+        out = tmp_path / "inf.tsv"
+        manifest = tmp_path / "run.json"
+        args = ["influence", str(model_file), str(series_csv), "--out", str(out)]
+        assert main(args + ["--manifest", str(manifest)]) == 0
+        assert not Path(str(out) + ".manifest.json").exists()
+        digests = json.loads(manifest.read_text())["input_sha256"]
+        assert digests == {"data": sha256(series_csv), "model": sha256(model_file)}
 
     def test_rerun_is_byte_identical(self, tmp_path, series_csv, model_file):
         out1 = tmp_path / "r1.tsv"
@@ -463,6 +491,30 @@ class TestSimulateEvaluate:
             ]
         )
         assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--restarts", "0"], "num_restarts must be >= 1"),
+        (["train", "--restarts", "-4"], "num_restarts must be >= 1"),
+        (["train", "--states", "0"], "num_states must be >= 1"),
+        (["detect", "--method", "kld", "--restarts", "0"], "num_restarts must be >= 1"),
+        (["detect", "--method", "z", "--states", "0"], "num_states must be >= 1"),
+        (["simulate", "--em-restarts", "0"], "em_restarts must be >= 1"),
+        (["simulate", "--subsample", "8", "--replicates", "2"], "subsample size 8"),
+    ],
+    ids=["train-restarts-0", "train-restarts-neg", "train-states", "detect-kld-restarts",
+         "detect-z-states", "simulate-em-restarts", "simulate-subsample-lof"],
+)
+def test_bad_count_is_usage_error(tmp_path, series_csv, capsys, argv, message):
+    out = tmp_path / "out"
+    out.write_bytes(b"kept\n")
+    out_flag = "--out-model" if argv[0] == "train" else "--out"
+    assert main([argv[0], str(series_csv), *argv[1:], out_flag, str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert out.read_bytes() == b"kept\n"
+    assert not Path(str(out) + ".manifest.json").exists()
 
 
 class TestNonFiniteInput:

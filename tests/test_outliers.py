@@ -1,5 +1,4 @@
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -141,6 +140,16 @@ class TestLofStatistic:
         rng = np.random.default_rng(4)
         assert lof_statistic(rng.normal(0, 1, 15)).clipped
 
+    def test_max_over_r_grid_of_lof_scores(self):
+        # Integer values on integer times: many tied distances.
+        values = np.random.default_rng(5).integers(0, 4, 40).astype(float)
+        t = np.arange(40.0)
+        pts = np.column_stack(
+            [(t - t.mean()) / t.std(), (values - values.mean()) / values.std()]
+        )
+        expected = np.max([lof_scores(pts, r) for r in range(10, 21)], axis=0)
+        assert np.array_equal(lof_statistic(values).scores, expected)
+
     def test_too_short_series_raises(self):
         with pytest.raises(ModelError):
             lof_statistic(np.arange(8.0))
@@ -225,72 +234,73 @@ def synthetic_source(seed=99, n=106):
 
 class TestSimulate:
     def test_deterministic_given_seed(self):
-        cfg = SimulationConfig(source=synthetic_source(), noise_std=2.0, seed=12)
-        a = simulate(cfg, "H1", 3)
-        b = simulate(cfg, "H1", 3)
+        cfg = SimulationConfig(source=synthetic_source(), seed=12)
+        a = simulate(cfg, 2.0, 3)
+        b = simulate(cfg, 2.0, 3)
         assert (a.t_kld, a.s_z, a.l_lof) == (b.t_kld, b.s_z, b.l_lof)
         assert a.outlier_positions == b.outlier_positions
 
     def test_replicates_differ(self):
-        cfg = SimulationConfig(source=synthetic_source(), noise_std=2.0, seed=12)
-        a = simulate(cfg, "H0", 0)
-        b = simulate(cfg, "H0", 1)
+        cfg = SimulationConfig(source=synthetic_source(), seed=12)
+        a = simulate(cfg, None, 0)
+        b = simulate(cfg, None, 1)
         assert a.t_kld != b.t_kld
 
     def test_statistics_valid(self):
-        cfg = SimulationConfig(source=synthetic_source(), noise_std=2.0, seed=1)
-        rep = simulate(cfg, "H1", 0)
+        cfg = SimulationConfig(source=synthetic_source(), seed=1)
+        rep = simulate(cfg, 2.0, 0)
         assert rep.t_kld >= 0
         assert rep.s_z >= 0
         assert rep.l_lof > 0
-        assert rep.label == "H1"
 
     def test_h0_has_no_injected_outliers(self):
-        cfg = SimulationConfig(source=synthetic_source(), noise_std=2.0, seed=1)
-        assert simulate(cfg, "H0", 0).outlier_positions == []
+        cfg = SimulationConfig(source=synthetic_source(), seed=1)
+        assert simulate(cfg, None, 0).outlier_positions == []
 
     def test_expected_contamination_rate(self):
         # 0.05 * 53 = 2.65 injected points per alternative replicate.
-        cfg = SimulationConfig(source=synthetic_source(), noise_std=2.0, seed=5)
-        counts = [len(simulate(cfg, "H1", q).outlier_positions) for q in range(40)]
+        cfg = SimulationConfig(source=synthetic_source(), seed=5)
+        counts = [len(simulate(cfg, 2.0, q).outlier_positions) for q in range(40)]
         mean = np.mean(counts)
         se = np.sqrt(2.65 / 40)  # ~binomial(53, 0.05) per replicate
         assert abs(mean - 2.65) < 4 * se
 
     def test_replicate_under_half_second(self):
-        cfg = SimulationConfig(source=synthetic_source(), noise_std=3.0, seed=2)
+        cfg = SimulationConfig(source=synthetic_source(), seed=2)
         start = time.perf_counter()
-        simulate(cfg, "H1", 0)
+        simulate(cfg, 3.0, 0)
         assert time.perf_counter() - start < 0.5
 
     def test_degenerate_fit_is_redrawn(self, collapse_tries):
         # One restart whose three tries all collapse fails the fit, so the
         # replicate is drawn again from its next derived stream.
-        cfg = SimulationConfig(
-            source=synthetic_source(), noise_std=2.0, seed=3, em_restarts=1
-        )
+        cfg = SimulationConfig(source=synthetic_source(), seed=3, em_restarts=1)
         collapse_tries({(0, 0), (0, 1), (0, 2)})
-        first = simulate(cfg, "H1", 0)
+        first = simulate(cfg, 2.0, 0)
         collapse_tries({(0, 0), (0, 1), (0, 2)})
-        again = simulate(cfg, "H1", 0)
+        again = simulate(cfg, 2.0, 0)
         assert first.resampled == 1
         assert again == first
         # With the collapses used up, the first draw is kept.
-        assert first != simulate(cfg, "H1", 0)
+        assert first != simulate(cfg, 2.0, 0)
 
-    def test_unknown_hypothesis(self):
+    def test_bad_delta(self):
         cfg = SimulationConfig(source=synthetic_source(), seed=0)
-        with pytest.raises(ModelError):
-            simulate(cfg, "H2", 0)
+        for delta in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ModelError, match="delta must be finite and >= 0"):
+                simulate(cfg, delta, 0)
+
+    @pytest.mark.parametrize("count", ["replicates", "em_restarts"])
+    def test_counts_must_be_positive(self, count):
+        with pytest.raises(ModelError, match=f"{count} must be >= 1, got 0"):
+            SimulationConfig(source=synthetic_source(), **{count: 0})
 
     def test_config_validation(self):
         with pytest.raises(ModelError):
             SimulationConfig(source=np.arange(10.0), subsample_size=53)
         with pytest.raises(ModelError):
             SimulationConfig(source=synthetic_source(), contamination=1.5)
-        with pytest.raises(ModelError):
-            SimulationConfig(source=synthetic_source(), noise_std=-1.0)
-        with pytest.raises(ModelError, match="subsample size 3 must exceed the 3 states"):
+        with pytest.raises(ModelError, match="subsample size 3 must exceed the 10 neighbors"):
             SimulationConfig(source=synthetic_source(), subsample_size=3)
 
 
@@ -331,7 +341,7 @@ class TestScoredReplicates:
         # Only the last key is left to score; it must use its own delta.
         (key, rep), = scored_replicates(cfg, deltas, skip=every[:-1])
         assert key == ("H1", 1.0, 1)
-        assert rep == simulate(replace(cfg, noise_std=1.0), "H1", 1)
+        assert rep == simulate(cfg, 1.0, 1)
 
     def test_repeated_delta_rejected(self):
         cfg = SimulationConfig(source=synthetic_source(), replicates=1, seed=0)
@@ -341,16 +351,16 @@ class TestScoredReplicates:
 
 class TestAucTable:
     @staticmethod
-    def rep(label, t_kld):
-        return ScoredReplicate(label=label, t_kld=t_kld, s_z=1.0, l_lof=1.0)
+    def rep(t_kld):
+        return ScoredReplicate(t_kld=t_kld, s_z=1.0, l_lof=1.0)
 
     def test_deltas_ascending_and_h1_counts(self):
         scored = {
-            ("H0", None, 0): self.rep("H0", 0.1),
-            ("H0", None, 1): self.rep("H0", 0.3),
-            ("H1", 3.0, 0): self.rep("H1", 0.5),
-            ("H1", 0.5, 0): self.rep("H1", 0.2),
-            ("H1", 0.5, 1): self.rep("H1", 0.05),
+            ("H0", None, 0): self.rep(0.1),
+            ("H0", None, 1): self.rep(0.3),
+            ("H1", 3.0, 0): self.rep(0.5),
+            ("H1", 0.5, 0): self.rep(0.2),
+            ("H1", 0.5, 1): self.rep(0.05),
         }
         rows = auc_table(scored, seed=4)
         assert [(r.method, r.delta, r.replicates) for r in rows] == [
@@ -362,4 +372,4 @@ class TestAucTable:
 
     def test_needs_both_hypotheses(self):
         with pytest.raises(ModelError, match="both H0 and H1"):
-            auc_table({("H0", None, 0): self.rep("H0", 0.1)}, seed=0)
+            auc_table({("H0", None, 0): self.rep(0.1)}, seed=0)

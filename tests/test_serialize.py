@@ -166,10 +166,10 @@ class TestProfileTsv:
 class TestReplicateRecords:
     def test_round_trip_keeps_order(self):
         reps = {
-            ("H0", None, 1): ScoredReplicate("H0", 0.25, 1.5, 1.1, resampled=2),
-            ("H0", None, 0): ScoredReplicate("H0", float("inf"), 2.0, 1.3),
+            ("H0", None, 1): ScoredReplicate(0.25, 1.5, 1.1, resampled=2),
+            ("H0", None, 0): ScoredReplicate(float("inf"), 2.0, 1.3),
             ("H1", 2.0, 0): ScoredReplicate(
-                "H1", 0.75, 3.5, 2.2, outlier_positions=[4, 17], z_degenerate=True
+                0.75, 3.5, 2.2, outlier_positions=[4, 17], z_degenerate=True
             ),
         }
         text = "".join(replicate_record(key, rep) for key, rep in reps.items())
@@ -179,7 +179,7 @@ class TestReplicateRecords:
         assert parsed == reps
 
     def test_bad_field_type_reports_line(self):
-        line = replicate_record(("H0", None, 0), ScoredReplicate("H0", 0.1, 1.0, 1.0))
+        line = replicate_record(("H0", None, 0), ScoredReplicate(0.1, 1.0, 1.0))
         bad = line.replace('"resampled": 0', '"resampled": "0"')
         with pytest.raises(DataFormatError, match="<scores>: line 2: bad 'resampled'"):
             parse_replicate_records("\n" + bad)

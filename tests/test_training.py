@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,11 @@ class TestEmFit:
         with pytest.raises(ModelError, match="max_iters"):
             EmConfig(num_states=2, max_iters=0)
 
+    @pytest.mark.parametrize("restarts", [0, -4])
+    def test_restarts_must_be_positive(self, restarts):
+        with pytest.raises(ModelError, match="num_restarts must be >= 1"):
+            EmConfig(num_states=2, num_restarts=restarts)
+
     def test_needs_more_observations_than_states(self):
         with pytest.raises(ModelError):
             em_fit(
@@ -204,3 +211,14 @@ class TestDegenerateRestarts:
         assert result.restart_iterations[0] == 1
         assert result.restart_converged[0] is False
         assert result.restart_index == 1
+
+    def test_untied_state_held_only_at_last_index_is_degenerate(self):
+        # The shifted last point gets a state of its own that has no
+        # outgoing transitions; its untied transition row would be 0/0.
+        x = np.random.default_rng(0).normal(0, 1, 30)
+        x[-1] += 10.0
+        cfg = EmConfig(num_states=3, num_restarts=5, homoscedastic=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateFitError):
+                em_fit(ObservationSequence(x), cfg)
