@@ -27,7 +27,6 @@ from .model import (
     HmmModel,
     ModelError,
     ObservationSequence,
-    emission_density,
     sample,
 )
 from .outliers import (
@@ -78,7 +77,6 @@ __all__ = [
     "ZScoreResult",
     "canonical_state_order",
     "em_fit",
-    "emission_density",
     "empirical_auc",
     "forward_backward",
     "forward_star",

@@ -230,6 +230,8 @@ def cmd_simulate(args, manifest: _Manifest) -> None:
 
 
 def cmd_evaluate(args, manifest: _Manifest) -> None:
+    if args.seed < 0:
+        raise _UsageError(f"seed must be >= 0, got {args.seed}")
     text = Path(args.scores).read_text()
     scored = parse_replicate_records(text, source=args.scores)
     manifest.phase("load")

@@ -43,10 +43,6 @@ class ForwardBackward:
     def __len__(self) -> int:
         return self.fwd.shape[-2]
 
-    @property
-    def num_states(self) -> int:
-        return self.fwd.shape[-1]
-
     def scaled_weights(self) -> np.ndarray:
         """exp(log_weights - per-index max), shape (n, m) or (R, n, m)."""
         return np.exp(self.log_weights - self.weight_offsets[..., None])

@@ -222,14 +222,6 @@ class ObservationSequence:
         return [str(i + 1) for i in range(len(self))]
 
 
-def emission_density(model: HmmModel, state: int, x) -> float:
-    """Emission probability (discrete) or density (Gaussian) of x in a state."""
-    if not 0 <= state < model.num_states:
-        raise ModelError(f"state {state} out of range [0, {model.num_states})")
-    logw = model.log_emission_matrix(np.asarray([x]))
-    return float(np.exp(logw[0, state]))
-
-
 def sample(model: HmmModel, n: int, seed) -> tuple:
     """Ancestral sampling of (hidden path, observations); deterministic per seed.
 

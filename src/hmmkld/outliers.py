@@ -153,6 +153,8 @@ class SimulationConfig:
             raise ModelError(f"replicates must be >= 1, got {self.replicates}")
         if self.em_restarts < 1:
             raise ModelError(f"em_restarts must be >= 1, got {self.em_restarts}")
+        if self.seed < 0:
+            raise ModelError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -180,12 +182,16 @@ def _draw_series(cfg: SimulationConfig, delta: Optional[float], rng):
     return values, positions
 
 
+def _check_delta(delta: Optional[float]) -> None:
+    if delta is not None and not (np.isfinite(delta) and delta >= 0):
+        raise ModelError(f"delta must be finite and >= 0, got {delta!r}")
+
+
 def simulate(cfg: SimulationConfig, delta: Optional[float], replicate: int) -> ScoredReplicate:
     """Score one replicate: under H0 when ``delta`` is None, else under H1
     with contamination noise of standard deviation ``delta``. Its RNG
     stream derives from (seed, hypothesis, index, attempt)."""
-    if delta is not None and not (np.isfinite(delta) and delta >= 0):
-        raise ModelError(f"delta must be finite and >= 0, got {delta!r}")
+    _check_delta(delta)
     attempt = 0
     while True:
         key = (0 if delta is None else 1, replicate, attempt)
@@ -246,17 +252,16 @@ def empirical_auc(
         raise ModelError("scores must not be NaN")
     distinct, codes = np.unique(np.concatenate([h1, h0]), return_inverse=True)
     code1, code0 = codes[: h1.size], codes[h1.size :]
-    # Row 0 is the samples themselves; row b > 0 is bootstrap draw b. The
-    # draws stay one call per sample per row, in this order, because the
-    # stream they consume fixes the CI.
+    # Row 0 of each sample's draws is the sample itself; rows 1..B are its
+    # bootstrap resamples, drawn in one call per sample, h1's first.
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
-    draws1 = np.empty((num_bootstrap + 1, h1.size), dtype=np.intp)
-    draws0 = np.empty((num_bootstrap + 1, h0.size), dtype=np.intp)
-    draws1[0], draws0[0] = code1, code0
-    for b in range(1, num_bootstrap + 1):
-        draws1[b] = code1[rng.integers(h1.size, size=h1.size)]
-        draws0[b] = code0[rng.integers(h0.size, size=h0.size)]
-    aucs = _pair_count_auc(draws1, draws0, distinct.size)
+    draws = []
+    for code in (code1, code0):
+        rows = np.empty((num_bootstrap + 1, code.size), dtype=np.intp)
+        rows[0] = code
+        np.take(code, rng.integers(code.size, size=(num_bootstrap, code.size)), out=rows[1:])
+        draws.append(rows)
+    aucs = _pair_count_auc(*draws, distinct.size)
     auc, boot = aucs[0], aucs[1:]
     tail = (1.0 - CI_LEVEL) / 2.0
     lower, upper = np.quantile(boot, [tail, 1.0 - tail])
@@ -310,15 +315,19 @@ def scored_replicates(
 ) -> Iterator[Tuple[ReplicateKey, ScoredReplicate]]:
     """Score every replicate not in ``skip``, in file order: the H0 cell
     once (null replicates do not depend on delta), then one H1 cell per
-    delta, each running indices 0..replicates-1."""
+    delta, each running indices 0..replicates-1. The deltas are checked
+    now; each replicate is scored when the iterator reaches it."""
     deltas = [float(d) for d in deltas]
     if len(set(deltas)) != len(deltas):
         raise ModelError(f"repeated delta in {deltas}")
-    for delta in [None, *deltas]:
-        for q in range(cfg.replicates):
-            key = ("H0" if delta is None else "H1", delta, q)
-            if key not in skip:
-                yield key, simulate(cfg, delta, q)
+    for delta in deltas:
+        _check_delta(delta)
+    keys = [
+        ("H0" if delta is None else "H1", delta, q)
+        for delta in [None, *deltas]
+        for q in range(cfg.replicates)
+    ]
+    return ((key, simulate(cfg, key[1], key[2])) for key in keys if key not in skip)
 
 
 def auc_table(

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .inference import ForwardBackward, forward_backward, posterior_marginals
+from .inference import forward_backward, posterior_marginals
 from .model import (
     DiscreteEmission,
     GaussianEmission,
@@ -97,6 +97,8 @@ class EmConfig:
             raise ModelError("max_iters must be >= 1")
         if self.num_restarts < 1:
             raise ModelError(f"num_restarts must be >= 1, got {self.num_restarts}")
+        if self.seed < 0:
+            raise ModelError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -177,22 +179,19 @@ def _expected_transition_counts(model, fb) -> np.ndarray:
     return alpha * ((before / z[..., None]).swapaxes(-1, -2) @ ahead)
 
 
-def _m_step(model, obs_values, cfg, fb, weights) -> HmmModel:
-    """Re-estimated lane model from the posteriors of each lane."""
+def _m_step(model, obs_values, cfg, counts, weights) -> HmmModel:
+    """Re-estimated lane model from each lane's expected transition counts
+    and posterior state marginals."""
     m = cfg.num_states
     lanes, n = weights.shape[:-1]
     state_weight = weights.sum(axis=-2)
 
-    if m == 1:
-        transition = np.ones((lanes, 1, 1))
+    if cfg.tie_transitions:
+        total = counts.reshape(lanes, -1).sum(axis=-1)
+        off_diag = total - np.trace(counts, axis1=-2, axis2=-1)
+        transition = _tied_transition(off_diag / (n - 1), m)
     else:
-        counts = _expected_transition_counts(model, fb)
-        if cfg.tie_transitions:
-            total = counts.reshape(lanes, -1).sum(axis=-1)
-            off_diag = total - np.trace(counts, axis1=-2, axis2=-1)
-            transition = _tied_transition(off_diag / (n - 1), m)
-        else:
-            transition = counts / counts.sum(axis=-1, keepdims=True)
+        transition = counts / counts.sum(axis=-1, keepdims=True)
 
     initial = weights[:, 0] / weights[:, 0].sum(axis=-1, keepdims=True)
 
@@ -256,6 +255,7 @@ def em_fit(obs: ObservationSequence, cfg: EmConfig) -> EmResult:
             traces[r].append(value)
         done = np.abs(ll - prev) <= EM_TOL * np.maximum(np.abs(prev), 1.0)
         weights = posterior_marginals(fb)
+        counts = _expected_transition_counts(model, fb)
         # The untied M-step divides a state's transition counts by its
         # weight over indices 0..n-2, so that weight must not vanish either.
         held = weights if cfg.tie_transitions else weights[..., :-1, :]
@@ -275,10 +275,9 @@ def em_fit(obs: ObservationSequence, cfg: EmConfig) -> EmResult:
             lanes, prev = lanes[step], prev[step]
             if lanes.size:
                 model = _lane_map(lambda a: a[step], model)
-                fb = ForwardBackward(*(getattr(fb, f.name)[step] for f in fields(fb)))
-                weights = weights[step]
+                counts, weights = counts[step], weights[step]
         if lanes.size:
-            model = _m_step(model, x, cfg, fb, weights)
+            model = _m_step(model, x, cfg, counts, weights)
             # A lane out of iterations keeps the model of its last M-step.
             spent = np.array([len(traces[r]) == cfg.max_iters for r in lanes.tolist()])
             if spent.any():

@@ -101,16 +101,16 @@ def pair_count_auc(h1, h0) -> float:
 
 
 def bootstrap_auc_loop(h1, h0, num_bootstrap, ci_level, seed) -> tuple:
-    """(auc, ci_lower, ci_upper), replaying the bootstrap stream draw by draw."""
+    """(auc, ci_lower, ci_upper), scoring the bootstrap resamples one by one."""
     h1 = np.asarray(h1, dtype=float)
     h0 = np.asarray(h0, dtype=float)
     auc = pair_count_auc(h1, h0)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
+    idx1 = rng.integers(h1.size, size=(num_bootstrap, h1.size))
+    idx0 = rng.integers(h0.size, size=(num_bootstrap, h0.size))
     boot = np.empty(num_bootstrap)
     for b in range(num_bootstrap):
-        b1 = h1[rng.integers(h1.size, size=h1.size)]
-        b0 = h0[rng.integers(h0.size, size=h0.size)]
-        boot[b] = pair_count_auc(b1, b0)
+        boot[b] = pair_count_auc(h1[idx1[b]], h0[idx0[b]])
     tail = (1.0 - ci_level) / 2.0
     lower, upper = np.quantile(boot, [tail, 1.0 - tail])
     return float(auc), float(min(lower, auc)), float(max(upper, auc))

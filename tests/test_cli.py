@@ -480,6 +480,17 @@ class TestSimulateEvaluate:
         assert message in capsys.readouterr().err
         assert not table.exists()
 
+    def test_evaluate_negative_seed_is_usage_error(self, tmp_path, capsys):
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(replicate_line() + "\n" + H1_LINE + "\n")
+        table = tmp_path / "t.tsv"
+        table.write_bytes(b"kept\n")
+        args = ["evaluate", "--scores", str(scores), "--seed", "-1", "--out", str(table)]
+        assert main(args) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert table.read_bytes() == b"kept\n"
+        assert not Path(str(table) + ".manifest.json").exists()
+
     def test_evaluate_missing_scores_is_data_error(self, tmp_path):
         code = main(
             [
@@ -503,9 +514,13 @@ class TestSimulateEvaluate:
         (["detect", "--method", "z", "--states", "0"], "num_states must be >= 1"),
         (["simulate", "--em-restarts", "0"], "em_restarts must be >= 1"),
         (["simulate", "--subsample", "8", "--replicates", "2"], "subsample size 8"),
+        (["train", "--seed", "-1"], "seed must be >= 0"),
+        (["detect", "--method", "z", "--seed", "-1"], "seed must be >= 0"),
+        (["simulate", "--seed", "-1"], "seed must be >= 0"),
     ],
     ids=["train-restarts-0", "train-restarts-neg", "train-states", "detect-kld-restarts",
-         "detect-z-states", "simulate-em-restarts", "simulate-subsample-lof"],
+         "detect-z-states", "simulate-em-restarts", "simulate-subsample-lof",
+         "train-seed", "detect-z-seed", "simulate-seed"],
 )
 def test_bad_count_is_usage_error(tmp_path, series_csv, capsys, argv, message):
     out = tmp_path / "out"

@@ -7,7 +7,6 @@ from hmmkld import (
     HmmModel,
     ModelError,
     ObservationSequence,
-    emission_density,
     sample,
 )
 
@@ -23,14 +22,15 @@ def two_state_discrete():
 class TestEmissionDensity:
     def test_discrete_lookup(self):
         model = two_state_discrete()
-        assert emission_density(model, 0, 1) == pytest.approx(0.1)
-        assert emission_density(model, 1, 0) == pytest.approx(0.2)
+        logw = model.log_emission_matrix([1, 0])
+        assert np.exp(logw[0, 0]) == pytest.approx(0.1)
+        assert np.exp(logw[1, 1]) == pytest.approx(0.2)
 
     def test_standard_normal_at_zero(self):
         model = HmmModel(
             [1.0], [[1.0]], GaussianEmission.homoscedastic([0.0], 1.0)
         )
-        assert emission_density(model, 0, 0.0) == pytest.approx(
+        assert np.exp(model.log_emission_matrix([0.0])[0, 0]) == pytest.approx(
             0.3989422804014327, abs=1e-12
         )
 
@@ -41,15 +41,12 @@ class TestEmissionDensity:
             [1.0], [[1.0]], GaussianEmission.homoscedastic([-0.372], sigma)
         )
         expected = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
-        assert emission_density(model, 0, -0.372) == pytest.approx(expected, rel=1e-12)
-
-    def test_state_out_of_range(self):
-        with pytest.raises(ModelError):
-            emission_density(two_state_discrete(), 2, 0)
+        density = np.exp(model.log_emission_matrix([-0.372])[0, 0])
+        assert density == pytest.approx(expected, rel=1e-12)
 
     def test_symbol_out_of_range(self):
         with pytest.raises(ModelError):
-            emission_density(two_state_discrete(), 0, 5)
+            two_state_discrete().log_emission_matrix([5])
 
 
 class TestInvariants:

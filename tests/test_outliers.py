@@ -17,6 +17,7 @@ from hmmkld import (
     simulate,
     z_value_scores,
 )
+from hmmkld import outliers
 from hmmkld.outliers import auc_table, scored_replicates
 
 
@@ -343,10 +344,23 @@ class TestScoredReplicates:
         assert key == ("H1", 1.0, 1)
         assert rep == simulate(cfg, 1.0, 1)
 
-    def test_repeated_delta_rejected(self):
-        cfg = SimulationConfig(source=synthetic_source(), replicates=1, seed=0)
-        with pytest.raises(ModelError, match="repeated delta"):
-            next(scored_replicates(cfg, [1.0, 2.0, 1.0]))
+    @pytest.mark.parametrize(
+        "deltas, message",
+        [
+            ([1.0, 2.0, 1.0], "repeated delta"),
+            ([1.0, -1.0], "delta must be finite and >= 0"),
+            ([1.0, np.nan], "delta must be finite and >= 0"),
+            ([1.0, np.inf], "delta must be finite and >= 0"),
+        ],
+        ids=["repeated", "negative", "nan", "inf"],
+    )
+    def test_bad_delta_rejected_before_any_replicate(self, monkeypatch, deltas, message):
+        calls = []
+        monkeypatch.setattr(outliers, "simulate", lambda *args: calls.append(args))
+        cfg = SimulationConfig(source=synthetic_source(), replicates=3, em_restarts=1)
+        with pytest.raises(ModelError, match=message):
+            scored_replicates(cfg, deltas)
+        assert calls == []
 
 
 class TestAucTable:
