@@ -6,6 +6,7 @@ densities with state-dependent means. All probability vectors and matrix
 rows are validated to sum to one within 1e-12 at construction time.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -222,24 +223,55 @@ class ObservationSequence:
         return [str(i + 1) for i in range(len(self))]
 
 
+def check_seed(seed):
+    """Return ``seed``, refusing a negative integer with ``ModelError``.
+
+    Any other seed (``None``, a ``SeedSequence``, a ``Generator``) goes to
+    numpy as given.
+    """
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ModelError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def _normalised_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF of each row, scaled so that its last entry is exactly 1."""
+    cdf = np.cumsum(p, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
 def sample(model: HmmModel, n: int, seed) -> tuple:
     """Ancestral sampling of (hidden path, observations); deterministic per seed.
 
     ``seed`` may be anything accepted by ``numpy.random.default_rng``.
+    The draws are those of one ``rng.choice(m, p=row)`` per state and per
+    discrete symbol, in index order: each such call inverts one
+    ``rng.random()`` through the row's normalised CDF (``side="right"``).
+    Here one ``rng.random(n)`` drives the state chain and, for discrete
+    emissions, a second one the symbols, so memory stays O(n) in numpy.
     """
+    if model.lanes is not None:
+        raise ModelError("sample takes a plain model, not a lane model")
     if n < 1:
         raise ModelError("sample length must be >= 1")
-    rng = np.random.default_rng(seed)
-    m = model.num_states
+    rng = np.random.default_rng(check_seed(seed))
+    u = rng.random(n)
+    rows = _normalised_cdf(model.transition).tolist()
     states = np.empty(n, dtype=int)
-    states[0] = rng.choice(m, p=model.initial)
+    # Memoryviews read Python floats and write Python ints, with no numpy
+    # scalar per index and no length-n list.
+    uv, sv = memoryview(u), memoryview(states)
+    s = sv[0] = bisect_right(_normalised_cdf(model.initial).tolist(), uv[0])
     for i in range(1, n):
-        states[i] = rng.choice(m, p=model.transition[states[i - 1]])
+        s = sv[i] = bisect_right(rows[s], uv[i])
     if isinstance(model.emission, DiscreteEmission):
-        k = model.emission.num_symbols
-        values = np.array(
-            [rng.choice(k, p=model.emission.table[s]) for s in states]
-        )
+        v = rng.random(n)
+        table_cdf = _normalised_cdf(model.emission.table)
+        values = np.empty(n, dtype=int)
+        for s in range(model.num_states):
+            at = states == s
+            values[at] = np.searchsorted(table_cdf[s], v[at], side="right")
     else:
         values = (
             model.emission.means[states]

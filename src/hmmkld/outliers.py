@@ -16,7 +16,7 @@ from typing import Collection, Iterator, List, Mapping, Optional, Sequence, Tupl
 import numpy as np
 
 from .influence import kld_influence
-from .model import ModelError, ObservationSequence
+from .model import ModelError, ObservationSequence, check_seed
 from .training import DegenerateFitError, EmConfig, em_fit, kmeans_1d
 
 LOF_R_RANGE = (10, 20)
@@ -25,6 +25,8 @@ LOF_R_RANGE = (10, 20)
 NUM_STATES = 3
 EM_MAX_ITERS = 300
 CI_LEVEL = 0.95
+# Bootstrap rows whose pair counts are tabulated together in one block.
+PAIR_COUNT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -153,8 +155,7 @@ class SimulationConfig:
             raise ModelError(f"replicates must be >= 1, got {self.replicates}")
         if self.em_restarts < 1:
             raise ModelError(f"em_restarts must be >= 1, got {self.em_restarts}")
-        if self.seed < 0:
-            raise ModelError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -254,7 +255,7 @@ def empirical_auc(
     code1, code0 = codes[: h1.size], codes[h1.size :]
     # Row 0 of each sample's draws is the sample itself; rows 1..B are its
     # bootstrap resamples, drawn in one call per sample, h1's first.
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
+    rng = np.random.default_rng(np.random.SeedSequence(check_seed(seed), spawn_key=(2,)))
     draws = []
     for code in (code1, code0):
         rows = np.empty((num_bootstrap + 1, code.size), dtype=np.intp)
@@ -278,15 +279,21 @@ def _pair_count_auc(codes1: np.ndarray, codes0: np.ndarray, size: int) -> np.nda
     From the multiplicities of row b's h0 codes, ``credit[b, c]`` is twice
     the number of h0 scores below score c plus the number equal to it.
     Summed over row b's h1 codes it gives twice the win count, an exact
-    integer, so every AUC is one correctly rounded division.
+    integer, so every AUC is one correctly rounded division. Rows are
+    counted PAIR_COUNT_BLOCK at a time, so the count tables take
+    PAIR_COUNT_BLOCK x size entries however many rows there are.
     """
     rows = codes0.shape[0]
-    flat = (codes0 + size * np.arange(rows)[:, None]).ravel()
-    m0 = np.bincount(flat, minlength=rows * size).reshape(rows, size)
-    credit = np.cumsum(m0, axis=1)
-    credit *= 2
-    credit -= m0
-    wins2 = np.take_along_axis(credit, codes1, axis=1).sum(axis=1)
+    wins2 = np.empty(rows, dtype=np.int64)
+    for start in range(0, rows, PAIR_COUNT_BLOCK):
+        block = slice(start, start + PAIR_COUNT_BLOCK)
+        height = codes0[block].shape[0]
+        flat = (codes0[block] + size * np.arange(height)[:, None]).ravel()
+        m0 = np.bincount(flat, minlength=height * size).reshape(height, size)
+        credit = np.cumsum(m0, axis=1)
+        credit *= 2
+        credit -= m0
+        wins2[block] = np.take_along_axis(credit, codes1[block], axis=1).sum(axis=1)
     return wins2 / (2.0 * codes1.shape[1] * codes0.shape[1])
 
 

@@ -17,6 +17,7 @@ from .model import (
     HmmModel,
     ModelError,
     ObservationSequence,
+    check_seed,
 )
 
 SIGMA_FLOOR = 1e-8
@@ -41,7 +42,7 @@ def kmeans_1d(values, k: int, seed) -> tuple:
         raise ModelError("k must be >= 1")
     if k > np.unique(x).size:
         raise ModelError(f"k={k} exceeds number of distinct values")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
 
     centers = np.empty(k)
     centers[0] = x[rng.integers(x.size)]
@@ -97,8 +98,7 @@ class EmConfig:
             raise ModelError("max_iters must be >= 1")
         if self.num_restarts < 1:
             raise ModelError(f"num_restarts must be >= 1, got {self.num_restarts}")
-        if self.seed < 0:
-            raise ModelError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass

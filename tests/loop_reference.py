@@ -1,8 +1,9 @@
 """Loop-at-a-time versions of the whole-array library code, kept as test oracles.
 
 Each function here steps through Python loops the way the library did
-before its window, transition-count, bootstrap and EM computations became
-whole-array numpy. The property tests require the library to match them.
+before its sampling, window, transition-count, bootstrap and EM
+computations became whole-array numpy. The property tests require the
+library to match them.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hmmkld import (
     HmmModel,
     LeaveOneOutImpossibleError,
     ModelError,
+    ObservationSequence,
     forward_backward,
     forward_star,
     posterior_marginals,
@@ -28,6 +30,25 @@ from hmmkld.training import (
     _is_gaussian,
     _tied_transition,
 )
+
+
+def sample_loop(model, n, seed) -> tuple:
+    """Ancestral sampling with one ``rng.choice`` per state and per discrete symbol."""
+    rng = np.random.default_rng(seed)
+    m = model.num_states
+    states = np.empty(n, dtype=int)
+    states[0] = rng.choice(m, p=model.initial)
+    for i in range(1, n):
+        states[i] = rng.choice(m, p=model.transition[states[i - 1]])
+    if isinstance(model.emission, DiscreteEmission):
+        k = model.emission.num_symbols
+        values = np.array([rng.choice(k, p=model.emission.table[s]) for s in states])
+    else:
+        values = (
+            model.emission.means[states]
+            + rng.standard_normal(n) * model.emission.sigmas[states]
+        )
+    return states, ObservationSequence(values)
 
 
 def kl_row(p, q) -> float:

@@ -187,6 +187,20 @@ class TestSample:
         assert np.array_equal(s1, s2)
         assert np.array_equal(o1.values, o2.values)
 
+    def test_lane_model_rejected(self):
+        model = two_state_discrete()
+        lanes = HmmModel(
+            [model.initial] * 2,
+            [model.transition] * 2,
+            DiscreteEmission([model.emission.table] * 2),
+        )
+        with pytest.raises(ModelError, match="not a lane model"):
+            sample(lanes, 10, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ModelError, match="seed must be >= 0, got -1"):
+            sample(two_state_discrete(), 10, seed=-1)
+
     def test_transition_frequencies_match(self):
         model = two_state_discrete()
         n = 100_000

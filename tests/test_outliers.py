@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,24 @@ class TestEmpiricalAuc:
         with pytest.raises(ModelError):
             empirical_auc([1.0, np.nan], [1.0])
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ModelError, match="seed must be >= 0, got -1"):
+            empirical_auc([1.0], [0.0], seed=-1)
+
+    def test_bootstrap_memory_bounded(self):
+        # The index draws take 3 x 2,000 x 1,000 int64 entries (46 MiB) at
+        # their peak; pair-count tables of all 2,001 rows at once took the
+        # call to 122 MiB.
+        rng = np.random.default_rng(2)
+        h1, h0 = rng.normal(0.5, 1.0, 1000), rng.normal(0.0, 1.0, 1000)
+        tracemalloc.start()
+        try:
+            empirical_auc(h1, h0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 72 * 2**20
+
 
 def synthetic_source(seed=99, n=106):
     true = HmmModel(
@@ -387,3 +406,8 @@ class TestAucTable:
     def test_needs_both_hypotheses(self):
         with pytest.raises(ModelError, match="both H0 and H1"):
             auc_table({("H0", None, 0): self.rep(0.1)}, seed=0)
+
+    def test_negative_seed_rejected(self):
+        scored = {("H0", None, 0): self.rep(0.1), ("H1", 1.0, 0): self.rep(0.5)}
+        with pytest.raises(ModelError, match="seed must be >= 0, got -1"):
+            auc_table(scored, seed=-1)

@@ -1,5 +1,5 @@
 """Property tests: the whole-array code against its loop references and
-the quadratic oracle, lane inference and lock-step EM against one-at-a-time
+the quadratic oracle, sampling against one ``rng.choice`` per draw, lane inference and lock-step EM against one-at-a-time
 runs, and the symmetries of the influence profile.
 
 Models are drawn at random, including transition matrices within 1e-12 of
@@ -23,6 +23,7 @@ from hmmkld import (
     kld_influence,
     kld_influence_naive,
     reorder_states,
+    sample,
     windowed_influence,
 )
 from hmmkld.training import _expected_transition_counts
@@ -30,6 +31,7 @@ from hmmkld.training import _expected_transition_counts
 from loop_reference import (
     bootstrap_auc_loop,
     em_fit_loop,
+    sample_loop,
     transition_counts_loop,
     windowed_influence_loop,
 )
@@ -137,6 +139,42 @@ def test_transition_counts_match_loop(problem):
         rtol=1e-12,
         atol=0.0,
     )
+
+
+@st.composite
+def sampling_problems(draw):
+    """(model, n, seed_form, entropy): probability rows that may hold zeros,
+    n from 1, and ``seed_form(entropy)`` an int, ``SeedSequence`` or
+    ``Generator`` seed (a fresh one per call)."""
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero_frac = draw(st.sampled_from([0.0, 0.5, 0.9]))
+
+    def rows(shape):
+        a = rng.random(shape) * (rng.random(shape) >= zero_frac)
+        a[..., 0] += a.sum(axis=-1) == 0.0
+        return a / a.sum(axis=-1, keepdims=True)
+
+    if draw(st.booleans()):
+        emission = DiscreteEmission(rows((m, draw(st.integers(1, 5)))))
+    else:
+        emission = GaussianEmission(rng.normal(0, 2, m), rng.uniform(0.1, 1.5, m))
+    model = HmmModel(rows((m,)), rows((m, m)), emission)
+    n = draw(st.one_of(st.just(1), st.integers(1, 400)))
+    seed_form = draw(st.sampled_from([int, np.random.SeedSequence, np.random.default_rng]))
+    return model, n, seed_form, draw(st.integers(0, 2**64 - 1))
+
+
+@PROPERTY_SETTINGS
+@given(sampling_problems())
+def test_sample_equals_choice_loop_exactly(problem):
+    model, n, seed_form, entropy = problem
+    states, obs = sample(model, n, seed_form(entropy))
+    loop_states, loop_obs = sample_loop(model, n, seed_form(entropy))
+    np.testing.assert_array_equal(states, loop_states)
+    np.testing.assert_array_equal(obs.values, loop_obs.values)
+    assert states.dtype == loop_states.dtype
+    assert obs.values.dtype == loop_obs.values.dtype
 
 
 scores = st.lists(

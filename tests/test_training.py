@@ -52,6 +52,10 @@ class TestKmeans1d:
         with pytest.raises(ModelError):
             kmeans_1d([1.0, 1.0, 2.0], 3, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ModelError, match="seed must be >= 0, got -1"):
+            kmeans_1d([0.0, 1.0, 2.0], 2, seed=-1)
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         values = rng.normal(0, 1, 50)
