@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .influence import LeaveOneOutImpossibleError, kld_influence, windowed_influence
-from .model import EvidenceImpossibleError, ModelError
+from .model import EvidenceImpossibleError, ModelError, check_seed
 from .outliers import (
     SimulationConfig,
     auc_table,
@@ -92,10 +92,11 @@ class _Manifest:
             fh.write("\n")
 
 
-def _config(cls, **settings):
-    """``cls(**settings)``; a setting the config rejects is a usage error."""
+def _config(check, **settings):
+    """``check(**settings)``: a config or a check; a setting it rejects is a
+    usage error."""
     try:
-        return cls(**settings)
+        return check(**settings)
     except ModelError as exc:
         raise _UsageError(str(exc))
 
@@ -230,8 +231,7 @@ def cmd_simulate(args, manifest: _Manifest) -> None:
 
 
 def cmd_evaluate(args, manifest: _Manifest) -> None:
-    if args.seed < 0:
-        raise _UsageError(f"seed must be >= 0, got {args.seed}")
+    _config(check_seed, seed=args.seed)
     text = Path(args.scores).read_text()
     scored = parse_replicate_records(text, source=args.scores)
     manifest.phase("load")

@@ -234,6 +234,15 @@ def check_seed(seed):
     return seed
 
 
+def check_count(name: str, value) -> None:
+    """Refuse with ``ModelError`` a count ``value`` that is not an integer
+    >= 1; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ModelError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ModelError(f"{name} must be >= 1, got {value}")
+
+
 def _normalised_cdf(p: np.ndarray) -> np.ndarray:
     """The CDF of each row, scaled so that its last entry is exactly 1."""
     cdf = np.cumsum(p, axis=-1)

@@ -16,7 +16,7 @@ from typing import Collection, Iterator, List, Mapping, Optional, Sequence, Tupl
 import numpy as np
 
 from .influence import kld_influence
-from .model import ModelError, ObservationSequence, check_seed
+from .model import ModelError, ObservationSequence, check_count, check_seed
 from .training import DegenerateFitError, EmConfig, em_fit, kmeans_1d
 
 LOF_R_RANGE = (10, 20)
@@ -140,7 +140,9 @@ class SimulationConfig:
     em_restarts: int = 5
 
     def __post_init__(self):
-        self.source = np.asarray(self.source, dtype=float)
+        self.source = ObservationSequence(np.asarray(self.source, dtype=float)).values
+        for name in ("subsample_size", "replicates", "em_restarts"):
+            check_count(name, getattr(self, name))
         if self.subsample_size > self.source.size:
             raise ModelError("subsample size exceeds source length")
         # LOF_R_RANGE[0] > NUM_STATES: this also leaves the fit more points than states.
@@ -151,10 +153,6 @@ class SimulationConfig:
             )
         if not 0.0 <= self.contamination <= 1.0:
             raise ModelError("contamination must be in [0, 1]")
-        if self.replicates < 1:
-            raise ModelError(f"replicates must be >= 1, got {self.replicates}")
-        if self.em_restarts < 1:
-            raise ModelError(f"em_restarts must be >= 1, got {self.em_restarts}")
         check_seed(self.seed)
 
 
@@ -251,19 +249,16 @@ def empirical_auc(
         raise ModelError("both score samples must be non-empty")
     if np.isnan(h1).any() or np.isnan(h0).any():
         raise ModelError("scores must not be NaN")
+    check_count("num_bootstrap", num_bootstrap)
     distinct, codes = np.unique(np.concatenate([h1, h0]), return_inverse=True)
     code1, code0 = codes[: h1.size], codes[h1.size :]
-    # Row 0 of each sample's draws is the sample itself; rows 1..B are its
-    # bootstrap resamples, drawn in one call per sample, h1's first.
+    # Each sample's bootstrap resamples are drawn in one call, h1's first.
     rng = np.random.default_rng(np.random.SeedSequence(check_seed(seed), spawn_key=(2,)))
-    draws = []
-    for code in (code1, code0):
-        rows = np.empty((num_bootstrap + 1, code.size), dtype=np.intp)
-        rows[0] = code
-        np.take(code, rng.integers(code.size, size=(num_bootstrap, code.size)), out=rows[1:])
-        draws.append(rows)
-    aucs = _pair_count_auc(*draws, distinct.size)
-    auc, boot = aucs[0], aucs[1:]
+    idx1 = rng.integers(h1.size, size=(num_bootstrap, h1.size))
+    idx0 = rng.integers(h0.size, size=(num_bootstrap, h0.size))
+    own1, own0 = np.arange(h1.size)[None], np.arange(h0.size)[None]
+    (auc,) = _pair_count_auc(code1, code0, own1, own0, distinct.size)
+    boot = _pair_count_auc(code1, code0, idx1, idx0, distinct.size)
     tail = (1.0 - CI_LEVEL) / 2.0
     lower, upper = np.quantile(boot, [tail, 1.0 - tail])
     return RocResult(
@@ -273,28 +268,30 @@ def empirical_auc(
     )
 
 
-def _pair_count_auc(codes1: np.ndarray, codes0: np.ndarray, size: int) -> np.ndarray:
-    """AUC of each row of h1 and h0 score codes in [0, size), by pair counts.
+def _pair_count_auc(code1, code0, idx1, idx0, size: int) -> np.ndarray:
+    """AUC of each row of h1 and h0 indices, by pair counts of the scores'
+    codes ``code1[idx1[b]]`` and ``code0[idx0[b]]`` in [0, size).
 
     From the multiplicities of row b's h0 codes, ``credit[b, c]`` is twice
     the number of h0 scores below score c plus the number equal to it.
     Summed over row b's h1 codes it gives twice the win count, an exact
     integer, so every AUC is one correctly rounded division. Rows are
-    counted PAIR_COUNT_BLOCK at a time, so the count tables take
-    PAIR_COUNT_BLOCK x size entries however many rows there are.
+    mapped to codes and counted PAIR_COUNT_BLOCK at a time, so the code
+    rows and count tables never hold more than PAIR_COUNT_BLOCK rows.
     """
-    rows = codes0.shape[0]
+    rows = idx0.shape[0]
     wins2 = np.empty(rows, dtype=np.int64)
     for start in range(0, rows, PAIR_COUNT_BLOCK):
         block = slice(start, start + PAIR_COUNT_BLOCK)
-        height = codes0[block].shape[0]
-        flat = (codes0[block] + size * np.arange(height)[:, None]).ravel()
+        codes0 = code0[idx0[block]]
+        height = codes0.shape[0]
+        flat = (codes0 + size * np.arange(height)[:, None]).ravel()
         m0 = np.bincount(flat, minlength=height * size).reshape(height, size)
         credit = np.cumsum(m0, axis=1)
         credit *= 2
         credit -= m0
-        wins2[block] = np.take_along_axis(credit, codes1[block], axis=1).sum(axis=1)
-    return wins2 / (2.0 * codes1.shape[1] * codes0.shape[1])
+        wins2[block] = np.take_along_axis(credit, code1[idx1[block]], axis=1).sum(axis=1)
+    return wins2 / (2.0 * idx1.shape[1] * idx0.shape[1])
 
 
 @dataclass

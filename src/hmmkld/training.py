@@ -17,6 +17,7 @@ from .model import (
     HmmModel,
     ModelError,
     ObservationSequence,
+    check_count,
     check_seed,
 )
 
@@ -38,8 +39,7 @@ def kmeans_1d(values, k: int, seed) -> tuple:
     assignments relabeled to match. Deterministic given the seed.
     """
     x = np.asarray(values, dtype=float)
-    if k < 1:
-        raise ModelError("k must be >= 1")
+    check_count("k", k)
     if k > np.unique(x).size:
         raise ModelError(f"k={k} exceeds number of distinct values")
     rng = np.random.default_rng(check_seed(seed))
@@ -92,12 +92,8 @@ class EmConfig:
     homoscedastic: bool = True
 
     def __post_init__(self):
-        if self.num_states < 1:
-            raise ModelError("num_states must be >= 1")
-        if self.max_iters < 1:
-            raise ModelError("max_iters must be >= 1")
-        if self.num_restarts < 1:
-            raise ModelError(f"num_restarts must be >= 1, got {self.num_restarts}")
+        for name in ("num_states", "max_iters", "num_restarts"):
+            check_count(name, getattr(self, name))
         check_seed(self.seed)
 
 
@@ -160,10 +156,6 @@ def _lane_map(fn, *models) -> HmmModel:
     )
 
 
-def _stack(models) -> HmmModel:
-    return _lane_map(lambda *a: np.stack(a), *models)
-
-
 def _expected_transition_counts(model, fb) -> np.ndarray:
     """Sum over i of the posterior transition distributions, shape (m, m)
     (per lane for a lane model).
@@ -181,7 +173,7 @@ def _expected_transition_counts(model, fb) -> np.ndarray:
 
 def _m_step(model, obs_values, cfg, counts, weights) -> HmmModel:
     """Re-estimated lane model from each lane's expected transition counts
-    and posterior state marginals."""
+    and posterior state marginals; ``model`` gives only the emission kind."""
     m = cfg.num_states
     lanes, n = weights.shape[:-1]
     state_weight = weights.sum(axis=-2)
@@ -224,73 +216,68 @@ def _is_gaussian(obs) -> bool:
 def em_fit(obs: ObservationSequence, cfg: EmConfig) -> EmResult:
     """Best-of-restarts Baum-Welch fit; each restart owns a derived RNG stream.
 
-    All restarts run in lock-step as the lanes of one lane model, so one
-    forward-backward pass per iteration serves every live restart. A lane
-    leaves the batch when it converges or reaches ``max_iters``. A lane
-    that collapses (some state gets no posterior weight) starts a new try
-    from its own stream; after three collapsed tries the restart is
-    degenerate. The winner is the first restart with the highest final
-    log-likelihood.
+    The fit runs in at most three rounds. Round t starts try t of every
+    restart that has no fit yet from that restart's own stream, and runs
+    those tries in lock-step as the lanes of one lane model, so one
+    forward-backward pass per iteration serves every live try. A lane
+    leaves the batch when it converges, reaches ``max_iters`` or collapses
+    (some state gets no posterior weight); a collapsed restart waits for
+    the next round, and after three collapsed tries it is degenerate. No
+    lane joins a running batch. The winner is the first restart with the
+    highest final log-likelihood.
     """
     if len(obs) <= cfg.num_states:
         raise ModelError("need more observations than states")
     x = obs.values.astype(float) if _is_gaussian(obs) else obs.values
     count = cfg.num_restarts
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(count)]
-    traces = [[] for _ in range(count)]  # log-likelihoods of each restart's current try
+    traces = [[] for _ in range(count)]  # log-likelihoods of each restart's latest try
     converged = [False] * count
-    tries = [0] * count  # collapsed tries per restart
     fitted = [None] * count
-
-    # Lane j of ``model`` runs restart lanes[j]; prev[j] is its last
-    # log-likelihood, NaN before the first iteration of a try, which makes
-    # the convergence test false.
-    lanes = np.arange(count)
-    prev = np.full(count, np.nan)
-    model = _stack([_initial_model(x, cfg, rng) for rng in rngs])
-    while lanes.size:
-        fb = forward_backward(model, obs)
-        ll = fb.log_evidence
-        for r, value in zip(lanes.tolist(), ll.tolist()):
-            traces[r].append(value)
-        done = np.abs(ll - prev) <= EM_TOL * np.maximum(np.abs(prev), 1.0)
-        weights = posterior_marginals(fb)
-        counts = _expected_transition_counts(model, fb)
-        # The untied M-step divides a state's transition counts by its
-        # weight over indices 0..n-2, so that weight must not vanish either.
-        held = weights if cfg.tie_transitions else weights[..., :-1, :]
-        collapsed = (held.sum(axis=-2) < _DEGENERATE_WEIGHT).any(axis=-1) & ~done
-        prev = ll
-        retried = []
-        if done.any() or collapsed.any():
-            for j in np.flatnonzero(done):
-                converged[lanes[j]] = True
-                fitted[lanes[j]] = _lane_map(lambda a: a[j], model)
-            for r in lanes[collapsed].tolist():
-                tries[r] += 1
-                if tries[r] < 3:
-                    traces[r] = []
-                    retried.append(r)
-            step = ~(done | collapsed)
-            lanes, prev = lanes[step], prev[step]
-            if lanes.size:
-                model = _lane_map(lambda a: a[step], model)
-                counts, weights = counts[step], weights[step]
-        if lanes.size:
-            model = _m_step(model, x, cfg, counts, weights)
+    collapses = 0
+    retry = list(range(count))  # restarts whose next try runs in the next round
+    for _ in range(3):
+        lanes, retry = retry, []  # lane j of ``model`` runs restart lanes[j]
+        if not lanes:
+            break
+        starts = [_initial_model(x, cfg, rngs[r]) for r in lanes]
+        model = _lane_map(lambda *a: np.stack(a), *starts)
+        for r in lanes:
+            traces[r] = []
+        while lanes:
+            fb = forward_backward(model, obs)
+            weights = posterior_marginals(fb)
+            counts = _expected_transition_counts(model, fb)
+            # The untied M-step divides a state's transition counts by its
+            # weight over indices 0..n-2, so that weight must not vanish either.
+            held = weights if cfg.tie_transitions else weights[..., :-1, :]
+            starved = (held.sum(axis=-2) < _DEGENERATE_WEIGHT).any(axis=-1).tolist()
+            step = []
+            for j, (r, ll) in enumerate(zip(lanes, fb.log_evidence.tolist())):
+                trace = traces[r]
+                trace.append(ll)
+                if len(trace) > 1 and abs(ll - trace[-2]) <= EM_TOL * max(abs(trace[-2]), 1.0):
+                    converged[r] = True
+                    fitted[r] = _lane_map(lambda a: a[j], model)
+                elif starved[j]:
+                    collapses += 1
+                    retry.append(r)
+                else:
+                    step.append(j)
+            lanes = [lanes[j] for j in step]
+            if not lanes:
+                break
+            model = _m_step(model, x, cfg, counts[step], weights[step])
             # A lane out of iterations keeps the model of its last M-step.
-            spent = np.array([len(traces[r]) == cfg.max_iters for r in lanes.tolist()])
-            if spent.any():
-                for j in np.flatnonzero(spent):
-                    fitted[lanes[j]] = _lane_map(lambda a: a[j], model)
-                lanes, prev = lanes[~spent], prev[~spent]
-                if lanes.size:
-                    model = _lane_map(lambda a: a[~spent], model)
-        if retried:
-            fresh = _stack([_initial_model(x, cfg, rngs[r]) for r in retried])
-            model = _lane_map(lambda *a: np.concatenate(a), model, fresh) if lanes.size else fresh
-            lanes = np.concatenate([lanes, retried])
-            prev = np.concatenate([prev, np.full(len(retried), np.nan)])
+            keep = []
+            for j, r in enumerate(lanes):
+                if len(traces[r]) < cfg.max_iters:
+                    keep.append(j)
+                else:
+                    fitted[r] = _lane_map(lambda a: a[j], model)
+            if len(keep) < len(lanes):
+                lanes = [lanes[j] for j in keep]
+                model = _lane_map(lambda a: a[keep], model)
 
     if fitted.count(None) == count:
         raise DegenerateFitError("all EM restarts were degenerate")
@@ -301,7 +288,7 @@ def em_fit(obs: ObservationSequence, cfg: EmConfig) -> EmResult:
         log_likelihoods=np.array(traces[best]),
         converged=converged[best],
         restart_index=best,
-        degenerate_restarts=sum(tries),
+        degenerate_restarts=collapses,
         restart_final_lls=finals,
         restart_iterations=[len(trace) for trace in traces],
         restart_converged=converged,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hmmkld import (
+    EmConfig,
     GaussianEmission,
     HmmModel,
     ModelError,
@@ -221,10 +222,15 @@ class TestEmpiricalAuc:
         with pytest.raises(ModelError, match="seed must be >= 0, got -1"):
             empirical_auc([1.0], [0.0], seed=-1)
 
+    @pytest.mark.parametrize("num_bootstrap", [0, -5])
+    def test_no_bootstrap_rows_rejected(self, num_bootstrap):
+        with pytest.raises(ModelError, match=f"num_bootstrap must be >= 1, got {num_bootstrap}"):
+            empirical_auc([1.0], [0.0], num_bootstrap=num_bootstrap)
+
     def test_bootstrap_memory_bounded(self):
-        # The index draws take 3 x 2,000 x 1,000 int64 entries (46 MiB) at
-        # their peak; pair-count tables of all 2,001 rows at once took the
-        # call to 122 MiB.
+        # The two index draws take 2 x 2,000 x 1,000 int64 entries (31 MiB).
+        # Pair-count tables of all 2,001 rows at once took the call to
+        # 122 MiB, and code tables of all rows to 61 MiB.
         rng = np.random.default_rng(2)
         h1, h0 = rng.normal(0.5, 1.0, 1000), rng.normal(0.0, 1.0, 1000)
         tracemalloc.start()
@@ -233,7 +239,7 @@ class TestEmpiricalAuc:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 72 * 2**20
+        assert peak < 40 * 2**20
 
 
 def synthetic_source(seed=99, n=106):
@@ -322,6 +328,38 @@ class TestSimulate:
             SimulationConfig(source=synthetic_source(), contamination=1.5)
         with pytest.raises(ModelError, match="subsample size 3 must exceed the 10 neighbors"):
             SimulationConfig(source=synthetic_source(), subsample_size=3)
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (np.zeros((53, 2)), "1-D"),
+            (np.append(synthetic_source(), np.nan), "observation 106 is not finite"),
+        ],
+        ids=["2-D", "nan"],
+    )
+    def test_source_must_be_finite_series(self, source, message):
+        with pytest.raises(ModelError, match=message):
+            SimulationConfig(source=source)
+
+
+@pytest.mark.parametrize(
+    "make, name, value",
+    [
+        (EmConfig, "num_states", 2.5),
+        (EmConfig, "max_iters", 2.5),
+        (EmConfig, "max_iters", True),
+        (EmConfig, "num_restarts", 1.5),
+        (SimulationConfig, "subsample_size", 20.5),
+        (SimulationConfig, "replicates", 1.5),
+        (SimulationConfig, "replicates", True),
+        (SimulationConfig, "em_restarts", 1.5),
+    ],
+)
+def test_count_must_be_an_integer(make, name, value):
+    settings = {"num_states": 2} if make is EmConfig else {"source": synthetic_source()}
+    settings[name] = value
+    with pytest.raises(ModelError, match=f"{name} must be an integer, got {value!r}"):
+        make(**settings)
 
 
 class TestRunBenchmark:

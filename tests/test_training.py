@@ -18,6 +18,8 @@ from hmmkld import (
     sample,
 )
 
+from loop_reference import em_fit_loop
+
 
 class TestKmeans1d:
     def test_separated_pairs(self):
@@ -215,6 +217,34 @@ class TestDegenerateRestarts:
         assert result.restart_iterations[0] == 1
         assert result.restart_converged[0] is False
         assert result.restart_index == 1
+
+    def test_collapsed_tries_match_sequential_restarts(self):
+        # The shifted last point draws a state of its own in some tries; they
+        # collapse and run again in the next round, and restart 5 collapses
+        # in all three rounds.
+        x = np.random.default_rng(3).normal(0, 1, 20)
+        x[-1] += 10.0
+        obs = ObservationSequence(x)
+        cfg = EmConfig(num_states=3, num_restarts=6, seed=3)
+        expected = em_fit_loop(obs, cfg)
+        result = em_fit(obs, cfg)
+        assert result.degenerate_restarts > 0
+        assert np.isnan(result.restart_final_lls[5])
+        assert result.restart_index == expected.restart_index
+        assert result.restart_iterations == expected.restart_iterations
+        assert result.restart_converged == expected.restart_converged
+        assert result.degenerate_restarts == expected.degenerate_restarts
+        np.testing.assert_array_equal(result.restart_final_lls, expected.restart_final_lls)
+        np.testing.assert_allclose(
+            result.log_likelihoods, expected.log_likelihoods, rtol=1e-9, atol=0.0
+        )
+        for got, want in (
+            (result.model.initial, expected.model.initial),
+            (result.model.transition, expected.model.transition),
+            (result.model.emission.means, expected.model.emission.means),
+            (result.model.emission.sigmas, expected.model.emission.sigmas),
+        ):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
     def test_untied_state_held_only_at_last_index_is_degenerate(self):
         # The shifted last point gets a state of its own that has no
