@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .influence import LeaveOneOutImpossibleError, kld_influence, windowed_influence
-from .model import EvidenceImpossibleError, ModelError, check_seed
+from .model import EvidenceImpossibleError, ModelError, check_count
 from .outliers import (
     SimulationConfig,
     auc_table,
@@ -154,8 +154,8 @@ def cmd_influence(args, manifest: _Manifest) -> None:
 
 
 def cmd_detect(args, manifest: _Manifest) -> None:
-    if args.top_k is not None and args.top_k < 1:
-        raise _UsageError(f"--top-k must be >= 1, got {args.top_k}")
+    if args.top_k is not None:
+        _config(check_count, name="--top-k", value=args.top_k)
     if args.threshold is not None and not np.isfinite(args.threshold):
         raise _UsageError(f"--threshold must be finite, got {args.threshold}")
     # Every method checks --states and --restarts; z uses --states as its k.
@@ -231,7 +231,7 @@ def cmd_simulate(args, manifest: _Manifest) -> None:
 
 
 def cmd_evaluate(args, manifest: _Manifest) -> None:
-    _config(check_seed, seed=args.seed)
+    _config(check_count, name="seed", value=args.seed, least=0)
     text = Path(args.scores).read_text()
     scored = parse_replicate_records(text, source=args.scores)
     manifest.phase("load")

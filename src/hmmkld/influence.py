@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import ForwardBackward, forward_backward, posterior_marginals
-from .model import HmmModel, ModelError, ObservationSequence
+from .model import HmmModel, ModelError, ObservationSequence, check_count, check_plain
 
 
 class LeaveOneOutImpossibleError(ArithmeticError):
@@ -101,6 +101,7 @@ def kl_divergence(p, q):
 
 def kld_influence(model: HmmModel, obs: ObservationSequence) -> InfluenceProfile:
     """Influence of every observation in one O(n m^2) pass."""
+    check_plain(model, "kld_influence")
     fb = forward_backward(model, obs)
     star = forward_star(model, fb)
     marg = posterior_marginals(fb)
@@ -131,8 +132,10 @@ def windowed_influence(
     the window. Cost is O(h m^2) per window position; every step below
     works on all windows at once.
     """
+    check_plain(model, "windowed_influence")
+    check_count("h", h)
     n = len(obs)
-    if not 1 <= h <= n:
+    if h > n:
         raise ModelError(f"window length {h} out of range [1, {n}]")
     fb = forward_backward(model, obs)
     star = forward_star(model, fb)

@@ -6,6 +6,7 @@ densities with state-dependent means. All probability vectors and matrix
 rows are validated to sum to one within 1e-12 at construction time.
 """
 
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -129,8 +130,7 @@ class GaussianEmission:
 
     @classmethod
     def homoscedastic(cls, means, sigma: float) -> "GaussianEmission":
-        means = np.atleast_1d(np.asarray(means, dtype=float))
-        return cls(means, np.full(means.shape, float(sigma)))
+        return cls(means, sigma)
 
     @property
     def num_states(self) -> int:
@@ -224,23 +224,28 @@ class ObservationSequence:
 
 
 def check_seed(seed):
-    """Return ``seed``, refusing a negative integer with ``ModelError``.
-
-    Any other seed (``None``, a ``SeedSequence``, a ``Generator``) goes to
-    numpy as given.
-    """
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ModelError(f"seed must be >= 0, got {seed}")
+    """Return ``seed`` for ``numpy.random.default_rng``: a number must be an
+    integer >= 0, and anything else (``None``, a ``SeedSequence``, a
+    ``Generator``) goes to numpy as given."""
+    if isinstance(seed, (numbers.Number, np.bool_)):
+        check_count("seed", seed, least=0)
     return seed
 
 
-def check_count(name: str, value) -> None:
-    """Refuse with ``ModelError`` a count ``value`` that is not an integer
-    >= 1; a bool is not a count."""
+def check_count(name: str, value, least: int = 1) -> None:
+    """Refuse with ``ModelError`` a ``value`` that is not an integer >=
+    ``least``: counts are at least 1, indices and seeds at least 0. A bool
+    is not an integer."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ModelError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ModelError(f"{name} must be >= 1, got {value}")
+    if value < least:
+        raise ModelError(f"{name} must be >= {least}, got {value}")
+
+
+def check_plain(model: HmmModel, caller: str) -> None:
+    """Refuse a lane model with ``ModelError``: ``caller`` takes one model."""
+    if model.lanes is not None:
+        raise ModelError(f"{caller} takes a plain model, not a lane model")
 
 
 def _normalised_cdf(p: np.ndarray) -> np.ndarray:
@@ -260,10 +265,8 @@ def sample(model: HmmModel, n: int, seed) -> tuple:
     Here one ``rng.random(n)`` drives the state chain and, for discrete
     emissions, a second one the symbols, so memory stays O(n) in numpy.
     """
-    if model.lanes is not None:
-        raise ModelError("sample takes a plain model, not a lane model")
-    if n < 1:
-        raise ModelError("sample length must be >= 1")
+    check_plain(model, "sample")
+    check_count("n", n)
     rng = np.random.default_rng(check_seed(seed))
     u = rng.random(n)
     rows = _normalised_cdf(model.transition).tolist()

@@ -16,7 +16,7 @@ from typing import Collection, Iterator, List, Mapping, Optional, Sequence, Tupl
 import numpy as np
 
 from .influence import kld_influence
-from .model import ModelError, ObservationSequence, check_count, check_seed
+from .model import ModelError, ObservationSequence, check_count
 from .training import DegenerateFitError, EmConfig, em_fit, kmeans_1d
 
 LOF_R_RANGE = (10, 20)
@@ -66,7 +66,8 @@ def lof_scores(points, r: int) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
-    if not 1 <= r < n:
+    check_count("r", r)
+    if r >= n:
         raise ModelError(f"neighbor count {r} out of range [1, {n})")
     dist, ordered = _distances(pts)
     return _lof(dist, ordered[:, r - 1])
@@ -153,7 +154,7 @@ class SimulationConfig:
             )
         if not 0.0 <= self.contamination <= 1.0:
             raise ModelError("contamination must be in [0, 1]")
-        check_seed(self.seed)
+        check_count("seed", self.seed, least=0)
 
 
 @dataclass
@@ -191,6 +192,7 @@ def simulate(cfg: SimulationConfig, delta: Optional[float], replicate: int) -> S
     with contamination noise of standard deviation ``delta``. Its RNG
     stream derives from (seed, hypothesis, index, attempt)."""
     _check_delta(delta)
+    check_count("replicate", replicate, least=0)
     attempt = 0
     while True:
         key = (0 if delta is None else 1, replicate, attempt)
@@ -250,10 +252,11 @@ def empirical_auc(
     if np.isnan(h1).any() or np.isnan(h0).any():
         raise ModelError("scores must not be NaN")
     check_count("num_bootstrap", num_bootstrap)
+    check_count("seed", seed, least=0)
     distinct, codes = np.unique(np.concatenate([h1, h0]), return_inverse=True)
     code1, code0 = codes[: h1.size], codes[h1.size :]
     # Each sample's bootstrap resamples are drawn in one call, h1's first.
-    rng = np.random.default_rng(np.random.SeedSequence(check_seed(seed), spawn_key=(2,)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
     idx1 = rng.integers(h1.size, size=(num_bootstrap, h1.size))
     idx0 = rng.integers(h0.size, size=(num_bootstrap, h0.size))
     own1, own0 = np.arange(h1.size)[None], np.arange(h0.size)[None]
@@ -322,6 +325,8 @@ def scored_replicates(
     delta, each running indices 0..replicates-1. The deltas are checked
     now; each replicate is scored when the iterator reaches it."""
     deltas = [float(d) for d in deltas]
+    if not deltas:
+        raise ModelError("need at least one delta")
     if len(set(deltas)) != len(deltas):
         raise ModelError(f"repeated delta in {deltas}")
     for delta in deltas:

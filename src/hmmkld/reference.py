@@ -17,30 +17,37 @@ import numpy as np
 
 from .inference import forward_backward, posterior_marginals
 from .influence import InfluenceProfile, kl_divergence
-from .model import EvidenceImpossibleError, HmmModel, ObservationSequence
+from .model import EvidenceImpossibleError, HmmModel, ObservationSequence, check_plain
 
 
 def enumerate_log_joint(model: HmmModel, obs: ObservationSequence):
-    """All hidden sequences with their joint log probability (density).
+    """All hidden sequences with the two parts of their joint log
+    probability (density).
 
-    Returns ``(seqs, logp)`` where ``seqs`` has shape (m^n, n). Intended
-    for n and m small enough that m^n is tiny.
+    Returns ``(seqs, chain, emit)``: ``seqs`` has shape (m^n, n), ``chain``
+    holds each sequence's log probability under the Markov chain and
+    ``emit[i]`` each sequence's log emission term at index i. Intended for
+    n and m small enough that m^n is tiny.
     """
     logw = model.log_emission_matrix(obs.values)
     n, m = logw.shape
     seqs = np.array(list(itertools.product(range(m), repeat=n)), dtype=int)
     with np.errstate(divide="ignore"):
-        log_gamma = np.log(model.initial)
+        chain = np.log(model.initial)[seqs[:, 0]]
         log_alpha = np.log(model.transition)
-    logp = log_gamma[seqs[:, 0]].copy()
     for i in range(1, n):
-        logp += log_alpha[seqs[:, i - 1], seqs[:, i]]
-    for i in range(n):
-        logp += logw[i, seqs[:, i]]
-    return seqs, logp
+        chain += log_alpha[seqs[:, i - 1], seqs[:, i]]
+    emit = logw[np.arange(n), seqs].T
+    return seqs, chain, emit
 
 
-def _normalize_log(logp: np.ndarray) -> np.ndarray:
+def _posterior(chain, emit, drop=()) -> np.ndarray:
+    """Posterior over the enumerated sequences, with the emission terms at
+    the indices in ``drop`` left out. Summing the kept terms (rather than
+    subtracting the dropped ones) keeps -inf terms from producing NaN."""
+    keep = np.ones(emit.shape[0], dtype=bool)
+    keep[list(drop)] = False
+    logp = chain + emit[keep].sum(axis=0)
     top = logp.max()
     if np.isneginf(top):
         raise EvidenceImpossibleError("evidence has probability zero")
@@ -48,25 +55,19 @@ def _normalize_log(logp: np.ndarray) -> np.ndarray:
     return p / p.sum()
 
 
-def enumeration_posterior(model, obs, drop=()):
-    """Posterior over full hidden sequences, with the emission factors at
-    the indices in ``drop`` removed from the evidence."""
-    logw = model.log_emission_matrix(obs.values)
-    seqs, logp = enumerate_log_joint(model, obs)
-    for j in drop:
-        logp = logp - logw[j, seqs[:, j]]
-    return seqs, _normalize_log(logp)
-
-
 def enumeration_log_evidence(model: HmmModel, obs: ObservationSequence) -> float:
-    _, logp = enumerate_log_joint(model, obs)
+    _, chain, emit = enumerate_log_joint(model, obs)
+    logp = chain + emit.sum(axis=0)
     top = logp.max()
     return float(top + np.log(np.exp(logp - top).sum()))
 
 
 def enumeration_marginals(model, obs, drop=()) -> np.ndarray:
-    """Posterior state marginals by brute-force summation, shape (n, m)."""
-    seqs, post = enumeration_posterior(model, obs, drop=drop)
+    """Posterior state marginals by brute-force summation, shape (n, m),
+    with the emission factors at the indices in ``drop`` removed from the
+    evidence."""
+    seqs, chain, emit = enumerate_log_joint(model, obs)
+    post = _posterior(chain, emit, drop)
     n = seqs.shape[1]
     m = model.num_states
     marg = np.zeros((n, m))
@@ -84,24 +85,11 @@ def enumeration_influence(model, obs, window: int = 1) -> np.ndarray:
     with complete evidence, computed by exhaustive enumeration.
     """
     n = len(obs)
-    logw = model.log_emission_matrix(obs.values)
-    seqs, logp = enumerate_log_joint(model, obs)
-    post_full = _normalize_log(logp)
-    emit_terms = np.stack([logw[j, seqs[:, j]] for j in range(n)])
-    with np.errstate(divide="ignore"):
-        chain_logp = np.log(model.initial)[seqs[:, 0]].copy()
-        log_alpha = np.log(model.transition)
-    for i in range(1, n):
-        chain_logp += log_alpha[seqs[:, i - 1], seqs[:, i]]
-    # Summing kept emission terms (rather than subtracting dropped ones)
-    # keeps -inf terms from producing NaN.
+    _, chain, emit = enumerate_log_joint(model, obs)
+    post_full = _posterior(chain, emit)
     k = np.empty(n - window + 1)
-    keep = np.ones(n, dtype=bool)
     for j in range(n - window + 1):
-        keep[:] = True
-        keep[j : j + window] = False
-        post_drop = _normalize_log(chain_logp + emit_terms[keep].sum(axis=0))
-        k[j] = kl_divergence(post_drop, post_full)
+        k[j] = kl_divergence(_posterior(chain, emit, range(j, j + window)), post_full)
     return k
 
 
@@ -113,6 +101,7 @@ def kld_influence_naive(model: HmmModel, obs: ObservationSequence) -> InfluenceP
     The per-j re-runs are batched into (n, m) array updates; total work
     is O(n^2 m^2).
     """
+    check_plain(model, "kld_influence_naive")
     fb = forward_backward(model, obs)
     marg = posterior_marginals(fb)
     n, m = marg.shape

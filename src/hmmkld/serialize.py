@@ -31,7 +31,9 @@ from .model import (
     DiscreteEmission,
     GaussianEmission,
     HmmModel,
+    ModelError,
     ObservationSequence,
+    check_count,
 )
 from .outliers import ReplicateKey, ScoredReplicate
 
@@ -89,7 +91,22 @@ class _LineReader:
             line = self.lines[self.pos - 1].strip()
             if line and not line.startswith("#"):
                 return self.pos, line
-        raise DataFormatError("unexpected end of model document")
+        raise DataFormatError(f"line {self.pos + 1}: unexpected end of model document")
+
+    def count(self, keyword: str, symbol: str) -> int:
+        """The next line as ``<keyword> <symbol>``, an integer >= 1."""
+        lineno, line = self.next()
+        if not line.startswith(keyword + " "):
+            raise DataFormatError(f"line {lineno}: expected '{keyword} <{symbol}>'")
+        noun = keyword[:-1]  # "state", "symbol"
+        try:
+            value = int(line.split()[1])
+            check_count(f"{noun} count", value)
+        except ModelError as exc:  # a ValueError too, so caught first
+            raise DataFormatError(f"line {lineno}: {exc}")
+        except ValueError:
+            raise DataFormatError(f"line {lineno}: {noun} count is not an integer")
+        return value
 
     def floats(self, count: int, what: str, keyword: bool = False) -> np.ndarray:
         """The next line as ``count`` numbers; with ``keyword`` the line
@@ -116,13 +133,7 @@ def parse_model(text: str) -> HmmModel:
     lineno, header = reader.next()
     if header != MODEL_HEADER:
         raise DataFormatError(f"line {lineno}: expected '{MODEL_HEADER}'")
-    lineno, line = reader.next()
-    if not line.startswith("states "):
-        raise DataFormatError(f"line {lineno}: expected 'states <m>'")
-    try:
-        m = int(line.split()[1])
-    except ValueError:
-        raise DataFormatError(f"line {lineno}: state count is not an integer")
+    m = reader.count("states", "m")
     initial = reader.floats(m, "initial", keyword=True)
     lineno, line = reader.next()
     if line != "transition":
@@ -134,13 +145,7 @@ def parse_model(text: str) -> HmmModel:
         raise DataFormatError(f"line {lineno}: expected 'emission <type>'")
     tag = parts[1]
     if tag == "discrete":
-        lineno, line = reader.next()
-        if not line.startswith("symbols "):
-            raise DataFormatError(f"line {lineno}: expected 'symbols <k>'")
-        try:
-            k = int(line.split()[1])
-        except ValueError:
-            raise DataFormatError(f"line {lineno}: symbol count is not an integer")
+        k = reader.count("symbols", "k")
         table = np.vstack([reader.floats(k, "emission row") for _ in range(m)])
         emission = DiscreteEmission(table)
     elif tag == "gaussian_homoscedastic":

@@ -6,7 +6,7 @@ standard deviation across states. Initial means come from 1-D k-means;
 multiple jittered restarts guard against local optima.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -94,7 +94,7 @@ class EmConfig:
     def __post_init__(self):
         for name in ("num_states", "max_iters", "num_restarts"):
             check_count(name, getattr(self, name))
-        check_seed(self.seed)
+        check_count("seed", self.seed, least=0)
 
 
 @dataclass
@@ -303,15 +303,8 @@ def canonical_state_order(model: HmmModel) -> np.ndarray:
 
 
 def reorder_states(model: HmmModel, order: np.ndarray) -> HmmModel:
-    """Model with states permuted by ``order``."""
-    if isinstance(model.emission, GaussianEmission):
-        emission = GaussianEmission(
-            model.emission.means[order], model.emission.sigmas[order]
-        )
-    else:
-        emission = DiscreteEmission(model.emission.table[order])
-    return HmmModel(
-        model.initial[order],
-        model.transition[np.ix_(order, order)],
-        emission,
-    )
+    """Model with states permuted by ``order``: every parameter array of a
+    plain model has the state axis first, and the transition matrix has it
+    second too."""
+    rows = _lane_map(lambda a: a[order], model)
+    return replace(rows, transition=rows.transition[:, order])

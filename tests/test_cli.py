@@ -532,6 +532,84 @@ def test_bad_count_is_usage_error(tmp_path, series_csv, capsys, argv, message):
     assert not Path(str(out) + ".manifest.json").exists()
 
 
+DISCRETE_DOCUMENT = [
+    "hmmkld-model v1",
+    "states 2",
+    "initial 0.5 0.5",
+    "transition",
+    "0.9 0.1",
+    "0.2 0.8",
+    "emission discrete",
+    "symbols 3",
+    "0.5 0.25 0.25",
+    "0.25 0.25 0.5",
+]
+
+
+def write_document(path, changes):
+    """``DISCRETE_DOCUMENT`` with line i (1-based) replaced by
+    ``changes[i]``, or left out where that is None."""
+    lines = [changes.get(i, line) for i, line in enumerate(DISCRETE_DOCUMENT, 1)]
+    path.write_text("\n".join(line for line in lines if line is not None) + "\n")
+
+
+class TestModelDocument:
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({10: None}, "line 10: unexpected end of model document"),
+            ({3: "start 0.5 0.5"}, "line 3: expected 'initial' row"),
+            ({5: "0.9 x"}, "line 5: transition row: not a number row"),
+            ({2: "size 2"}, "line 2: expected 'states <m>'"),
+            ({2: "states two"}, "line 2: state count is not an integer"),
+            ({4: "transitions"}, "line 4: expected 'transition' section"),
+            ({7: "emission"}, "line 7: expected 'emission <type>'"),
+            ({8: "alphabet 3"}, "line 8: expected 'symbols <k>'"),
+            ({8: "symbols 2.5"}, "line 8: symbol count is not an integer"),
+            ({2: "states 0"}, "line 2: state count must be >= 1, got 0"),
+            ({2: "states -1"}, "line 2: state count must be >= 1, got -1"),
+            ({8: "symbols 0"}, "line 8: symbol count must be >= 1, got 0"),
+        ],
+        ids=["end", "keyword-row", "number-row", "states-line", "state-count-type",
+             "transition-line", "emission-line", "symbols-line", "symbol-count-type",
+             "zero-states", "negative-states", "zero-symbols"],
+    )
+    def test_bad_document_names_the_line(self, tmp_path, capsys, changes, message):
+        doc = tmp_path / "model.txt"
+        write_document(doc, changes)
+        data = tmp_path / "symbols.csv"
+        data.write_text("0\n1\n2\n")
+        out = tmp_path / "inf.tsv"
+        assert main(["influence", str(doc), str(data), "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_discrete_model_on_symbol_csv(self, tmp_path, capsys):
+        doc = tmp_path / "model.txt"
+        write_document(doc, {})
+        data = tmp_path / "symbols.csv"
+        data.write_text("0\n1\n2\n1\n0\n")
+        out = tmp_path / "inf.tsv"
+        assert main(["influence", str(doc), str(data), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 5
+        data.write_text("0\n1.5\n2\n")
+        assert main(["influence", str(doc), str(data), "--out", str(out)]) == 3
+        assert "discrete observations must be integer symbols" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "deltas, message",
+    [("a", "bad --deltas value"), (",", "--deltas must list at least one value")],
+    ids=["not-a-number", "empty"],
+)
+def test_unparsable_deltas_are_usage_errors(tmp_path, series_csv, capsys, deltas, message):
+    out = tmp_path / "s.jsonl"
+    args = ["simulate", str(series_csv), f"--deltas={deltas}", "--out", str(out)]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestNonFiniteInput:
     @pytest.fixture(params=["nan", "inf"])
     def bad_csv(self, request, tmp_path, series_csv):

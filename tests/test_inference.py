@@ -114,6 +114,26 @@ class TestForwardBackward:
         with pytest.raises(EvidenceImpossibleError):
             forward_backward(model, obs)
 
+    @pytest.mark.parametrize(
+        "initial, transition, table, symbols, message",
+        [
+            ([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]],
+             [0, 2], "observation 1 has zero probability in every state"),
+            # The evidence, 1e-400, lies below the double range. The forward
+            # rows rescale at every step and stay positive, but one backward
+            # step multiplies two factors of 1e-200 in every state.
+            ([1.0, 0.0, 0.0], [[1.0, 1e-200, 0.0], [1e-200, 0.0, 1.0], [0.0, 1e-200, 1.0]],
+             np.eye(3), [0, 1, 0], "impossible evidence after index 0"),
+        ],
+        ids=["every-state", "backward-underflow"],
+    )
+    def test_impossible_evidence_names_the_index(
+        self, initial, transition, table, symbols, message
+    ):
+        model = HmmModel(initial, transition, DiscreteEmission(table))
+        with pytest.raises(EvidenceImpossibleError, match=message):
+            forward_backward(model, ObservationSequence(np.array(symbols)))
+
 
 class TestPosteriorMarginals:
     def test_single_node_bayes(self):

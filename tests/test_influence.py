@@ -266,3 +266,34 @@ class TestWindowedInfluence:
             windowed_influence(model, obs, 0)
         with pytest.raises(ModelError):
             windowed_influence(model, obs, 6)
+
+
+def test_enumeration_leaves_out_a_zero_emission_term():
+    # Observations 1 and 4 (symbol 2) are impossible in state 0, so their
+    # emission terms are -inf for every path through state 0 there.
+    model = HmmModel(
+        [0.6, 0.4],
+        [[0.7, 0.3], [0.2, 0.8]],
+        DiscreteEmission([[0.5, 0.5, 0.0], [0.3, 0.3, 0.4]]),
+    )
+    obs = ObservationSequence(np.array([0, 2, 1, 0, 2]))
+    loo = kld_influence(model, obs).loo_marginals
+    for j in range(len(obs)):
+        marg = enumeration_marginals(model, obs, drop=[j])[j]
+        assert not np.isnan(marg).any()
+        np.testing.assert_allclose(marg, loo[j], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [kld_influence, lambda model, obs: windowed_influence(model, obs, 2), kld_influence_naive],
+    ids=["kld_influence", "windowed_influence", "kld_influence_naive"],
+)
+def test_lane_model_rejected(engine):
+    table = [[0.9, 0.1], [0.2, 0.8]]
+    lanes = HmmModel(
+        [[0.5, 0.5]] * 3, [[[0.9, 0.1], [0.2, 0.8]]] * 3, DiscreteEmission([table] * 3)
+    )
+    obs = ObservationSequence(np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 0]))
+    with pytest.raises(ModelError, match="takes a plain model, not a lane model"):
+        engine(lanes, obs)

@@ -3,11 +3,18 @@ import pytest
 
 from hmmkld import (
     DiscreteEmission,
+    EmConfig,
     GaussianEmission,
     HmmModel,
     ModelError,
     ObservationSequence,
+    SimulationConfig,
+    empirical_auc,
+    kmeans_1d,
+    lof_scores,
     sample,
+    simulate,
+    windowed_influence,
 )
 
 
@@ -221,3 +228,46 @@ class TestSample:
         _, obs = sample(model, 10_000, seed=11)
         assert obs.values.mean() == pytest.approx(5.0, abs=0.02)
         assert obs.values.std() == pytest.approx(0.5, abs=0.02)
+
+
+SOURCE = np.linspace(-1.0, 1.0, 60)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: EmConfig(num_states=2, seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: EmConfig(num_states=2, seed=True), "seed must be an integer, got True"),
+        (lambda: EmConfig(num_states=2, seed=np.random.default_rng(0)),
+         "seed must be an integer"),
+        (lambda: SimulationConfig(source=SOURCE, seed=np.random.SeedSequence(1)),
+         "seed must be an integer"),
+        (lambda: empirical_auc([1.0, 2.0], [0.0], seed=2.5), "seed must be an integer, got 2.5"),
+        (lambda: sample(two_state_discrete(), 5, 1.5), "seed must be an integer, got 1.5"),
+        (lambda: sample(two_state_discrete(), 5, np.True_), "seed must be an integer"),
+        (lambda: kmeans_1d(SOURCE, 2, 2.5), "seed must be an integer, got 2.5"),
+        (lambda: sample(two_state_discrete(), 2.5, 0), "n must be an integer, got 2.5"),
+        (lambda: sample(two_state_discrete(), 0, 0), "n must be >= 1, got 0"),
+        (lambda: windowed_influence(two_state_discrete(), ObservationSequence([0, 1, 0]), 2.5),
+         "h must be an integer, got 2.5"),
+        (lambda: lof_scores(np.zeros((5, 2)), 2.5), "r must be an integer, got 2.5"),
+        (lambda: lof_scores(np.zeros((5, 2)), True), "r must be an integer, got True"),
+        (lambda: simulate(SimulationConfig(source=SOURCE), None, -1),
+         "replicate must be >= 0, got -1"),
+    ],
+    ids=["em-float-seed", "em-bool-seed", "em-generator-seed", "simulation-seedsequence",
+         "auc-float-seed", "sample-float-seed", "sample-numpy-bool-seed", "kmeans-float-seed",
+         "sample-float-n", "sample-zero-n", "window-float-h", "lof-float-r", "lof-bool-r",
+         "simulate-negative-replicate"],
+)
+def test_bad_integer_argument_is_model_error(call, message):
+    with pytest.raises(ModelError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "seed", [None, 0, np.int64(3), np.random.SeedSequence(3), np.random.default_rng(3)]
+)
+def test_sample_takes_any_numpy_seed(seed):
+    states, obs = sample(two_state_discrete(), 5, seed)
+    assert states.shape == obs.values.shape == (5,)

@@ -408,8 +408,9 @@ class TestScoredReplicates:
             ([1.0, -1.0], "delta must be finite and >= 0"),
             ([1.0, np.nan], "delta must be finite and >= 0"),
             ([1.0, np.inf], "delta must be finite and >= 0"),
+            ([], "need at least one delta"),
         ],
-        ids=["repeated", "negative", "nan", "inf"],
+        ids=["repeated", "negative", "nan", "inf", "empty"],
     )
     def test_bad_delta_rejected_before_any_replicate(self, monkeypatch, deltas, message):
         calls = []
