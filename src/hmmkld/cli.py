@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .influence import LeaveOneOutImpossibleError, kld_influence, windowed_influence
+from .influence import LeaveOneOutImpossibleError, check_window, kld_influence, windowed_influence
 from .model import EvidenceImpossibleError, ModelError, check_count
 from .outliers import (
     SimulationConfig,
@@ -138,10 +138,7 @@ def cmd_train(args, manifest: _Manifest) -> None:
 def cmd_influence(args, manifest: _Manifest) -> None:
     model = read_model(args.model)
     obs = read_observations(args.data)
-    if args.window < 1 or args.window > len(obs):
-        raise _UsageError(
-            f"--window must be in [1, {len(obs)}], got {args.window}"
-        )
+    _config(check_window, name="--window", h=args.window, n=len(obs))
     manifest.phase("load")
     if args.window == 1:
         text = influence_tsv(kld_influence(model, obs), obs.label_list())

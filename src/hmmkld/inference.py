@@ -113,9 +113,13 @@ def forward_backward(model: HmmModel, obs: ObservationSequence) -> ForwardBackwa
     if not c.all():
         bad = int(np.argmax((c == 0.0).any(axis=1)))
         raise EvidenceImpossibleError(f"impossible evidence at index {bad}")
-    if not d[:-1].all():
-        bad = int(n - 2 - np.argmax((d[-2::-1] == 0.0).any(axis=1)))
-        raise EvidenceImpossibleError(f"impossible evidence after index {bad}")
+    # Every forward normalizer is positive, so the evidence is too, and a
+    # zero backward normalizer is underflow: those lanes run the pass again.
+    with np.errstate(divide="ignore"):
+        log_d = np.log(d[:-1])
+    under = ~d[:-1].all(axis=0)
+    if under.any():
+        bwd[:, under], log_d[:, under] = _rescaled_backward(alpha[under], w_col[:, under])
 
     # Cumulative log scales as running sums of interleaved terms, which
     # adds them in the order L_i = (L_{i-1} + log c_i) + offset_i.
@@ -127,9 +131,9 @@ def forward_backward(model: HmmModel, obs: ObservationSequence) -> ForwardBackwa
     log_scale_bwd = np.zeros((n, num_lanes))
     if n > 1:
         terms = terms[: 2 * (n - 1)]
-        # The log runs on the contiguous rows: numpy's vectorized log and
+        # The log ran on the contiguous rows: numpy's vectorized log and
         # its strided fallback can differ in the last bit.
-        terms[0::2] = np.log(d[:-1])[::-1]
+        terms[0::2] = log_d[::-1]
         terms[1::2] = offsets[:0:-1]
         log_scale_bwd[-2::-1] = np.add.accumulate(terms, axis=0)[1::2]
 
@@ -152,6 +156,34 @@ def forward_backward(model: HmmModel, obs: ObservationSequence) -> ForwardBackwa
         log_weights=logw[0] if model.lanes is None else logw,
         weight_offsets=out(offsets),
     )
+
+
+def _rescaled_backward(alpha: np.ndarray, w_col: np.ndarray):
+    """The backward pass with each ``v = w[i+1]·b[i+1]`` divided by its
+    maximum before the matmul, the log of which joins that step's log
+    normalizer. It serves the lanes whose plain pass underflowed to 0 in
+    every state; a 0 here too raises ``EvidenceImpossibleError``.
+
+    Returns the rows, shape (n, R, m, 1), and the log normalizers, shape
+    (n - 1, R).
+    """
+    n, num_lanes = w_col.shape[:2]
+    bwd = np.ones(w_col.shape)
+    log_d = np.empty((n - 1, num_lanes))
+    # v can underflow to 0 too, and 0/0 then fails the test below.
+    with np.errstate(invalid="ignore"):
+        for i in range(n - 2, -1, -1):
+            v = w_col[i + 1] * bwd[i + 1]
+            top = v.max(axis=-2, keepdims=True)
+            row = alpha @ (v / top)
+            d_i = row.max(axis=-2, keepdims=True)
+            if not (d_i > 0).all():
+                raise EvidenceImpossibleError(
+                    f"the backward pass underflowed after index {i}"
+                )
+            bwd[i] = row / d_i
+            log_d[i] = (np.log(d_i) + np.log(top))[:, 0, 0]
+    return bwd, log_d
 
 
 def posterior_marginals(fb: ForwardBackward) -> np.ndarray:

@@ -17,7 +17,13 @@ from .model import HmmModel, ModelError, ObservationSequence, check_count, check
 
 
 class LeaveOneOutImpossibleError(ArithmeticError):
-    """Leave-one-out evidence has probability zero (discrete pathology)."""
+    """The leave-out evidence came out 0 in every state.
+
+    The true leave-out evidence is positive whenever the full evidence is:
+    a path that is positive with every observation stays positive with
+    some left out. So this error means that the product of the star
+    forward row and the backward row underflowed in every state.
+    """
 
 
 @dataclass(frozen=True)
@@ -114,8 +120,18 @@ def kld_influence(model: HmmModel, obs: ObservationSequence) -> InfluenceProfile
     return InfluenceProfile(k=k, loo_marginals=loo, marginals=marg)
 
 
+def check_window(name: str, h, n: int) -> None:
+    """Refuse with ``ModelError`` a window length ``h`` outside [1, n]."""
+    check_count(name, h)
+    if h > n:
+        raise ModelError(f"{name} must be <= {n}, got {h}")
+
+
 def _row_normalized(mat: np.ndarray) -> np.ndarray:
-    return mat / mat.sum(axis=-1, keepdims=True)
+    """Rows scaled to sum to one; a row of zeros (a state with no way on)
+    stays zero, so that a zero weight on it cannot turn into NaN."""
+    total = mat.sum(axis=-1, keepdims=True)
+    return np.divide(mat, total, out=np.zeros_like(mat), where=total > 0)
 
 
 def windowed_influence(
@@ -133,10 +149,8 @@ def windowed_influence(
     works on all windows at once.
     """
     check_plain(model, "windowed_influence")
-    check_count("h", h)
     n = len(obs)
-    if h > n:
-        raise ModelError(f"window length {h} out of range [1, {n}]")
+    check_window("h", h, n)
     fb = forward_backward(model, obs)
     star = forward_star(model, fb)
     marg = posterior_marginals(fb)
@@ -169,6 +183,7 @@ def windowed_influence(
         row_kl = kl_divergence(kernel_star, kernel_full[t : t + num_windows])
         # States the window cannot be in add nothing, even where their
         # kernel divergence is infinite.
-        k += np.where(m_star > 0, m_star * row_kl, 0.0).sum(axis=1)
+        terms = np.multiply(m_star, row_kl, out=np.zeros_like(m_star), where=m_star > 0)
+        k += terms.sum(axis=1)
         m_star = (m_star[:, None, :] @ kernel_star)[:, 0, :]
     return WindowInfluenceProfile(h=h, k=k)

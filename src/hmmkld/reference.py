@@ -41,10 +41,11 @@ def enumerate_log_joint(model: HmmModel, obs: ObservationSequence):
     return seqs, chain, emit
 
 
-def _posterior(chain, emit, drop=()) -> np.ndarray:
-    """Posterior over the enumerated sequences, with the emission terms at
-    the indices in ``drop`` left out. Summing the kept terms (rather than
-    subtracting the dropped ones) keeps -inf terms from producing NaN."""
+def _posterior(chain, emit, drop=()):
+    """Posterior over the enumerated sequences and the log evidence, with the
+    emission terms at the indices in ``drop`` left out. Summing the kept
+    terms (rather than subtracting the dropped ones) keeps -inf terms from
+    producing NaN. Evidence of probability zero raises."""
     keep = np.ones(emit.shape[0], dtype=bool)
     keep[list(drop)] = False
     logp = chain + emit[keep].sum(axis=0)
@@ -52,14 +53,13 @@ def _posterior(chain, emit, drop=()) -> np.ndarray:
     if np.isneginf(top):
         raise EvidenceImpossibleError("evidence has probability zero")
     p = np.exp(logp - top)
-    return p / p.sum()
+    total = p.sum()
+    return p / total, float(top + np.log(total))
 
 
 def enumeration_log_evidence(model: HmmModel, obs: ObservationSequence) -> float:
     _, chain, emit = enumerate_log_joint(model, obs)
-    logp = chain + emit.sum(axis=0)
-    top = logp.max()
-    return float(top + np.log(np.exp(logp - top).sum()))
+    return _posterior(chain, emit)[1]
 
 
 def enumeration_marginals(model, obs, drop=()) -> np.ndarray:
@@ -67,14 +67,8 @@ def enumeration_marginals(model, obs, drop=()) -> np.ndarray:
     with the emission factors at the indices in ``drop`` removed from the
     evidence."""
     seqs, chain, emit = enumerate_log_joint(model, obs)
-    post = _posterior(chain, emit, drop)
-    n = seqs.shape[1]
-    m = model.num_states
-    marg = np.zeros((n, m))
-    for i in range(n):
-        for s in range(m):
-            marg[i, s] = post[seqs[:, i] == s].sum()
-    return marg
+    post, _ = _posterior(chain, emit, drop)
+    return np.array([np.bincount(states, post, model.num_states) for states in seqs.T])
 
 
 def enumeration_influence(model, obs, window: int = 1) -> np.ndarray:
@@ -84,13 +78,12 @@ def enumeration_influence(model, obs, window: int = 1) -> np.ndarray:
     sequences with observations j..j+window-1 removed and the posterior
     with complete evidence, computed by exhaustive enumeration.
     """
-    n = len(obs)
     _, chain, emit = enumerate_log_joint(model, obs)
-    post_full = _posterior(chain, emit)
-    k = np.empty(n - window + 1)
-    for j in range(n - window + 1):
-        k[j] = kl_divergence(_posterior(chain, emit, range(j, j + window)), post_full)
-    return k
+    post_full, _ = _posterior(chain, emit)
+    return np.array([
+        kl_divergence(_posterior(chain, emit, range(j, j + window))[0], post_full)
+        for j in range(len(obs) - window + 1)
+    ])
 
 
 def kld_influence_naive(model: HmmModel, obs: ObservationSequence) -> InfluenceProfile:

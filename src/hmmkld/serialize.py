@@ -250,11 +250,12 @@ def _is_real(v) -> bool:
 
 
 def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-
-def _is_counts(v) -> bool:
-    return isinstance(v, list) and all(map(_is_count, v))
+    """An index by ``check_count``'s rule: an integer >= 0."""
+    try:
+        check_count("index", v, least=0)
+    except ModelError:
+        return False
+    return True
 
 
 # Scores-file field -> (ScoredReplicate attribute, check of the JSON value).
@@ -266,7 +267,7 @@ _RECORD_FIELDS = {
     "t_kld": ("t_kld", _is_real),
     "s_z": ("s_z", _is_real),
     "l_lof": ("l_lof", _is_real),
-    "outliers": ("outlier_positions", _is_counts),
+    "outliers": ("outlier_positions", lambda v: isinstance(v, list) and all(map(_is_count, v))),
     "resampled": ("resampled", _is_count),
     "z_degenerate": ("z_degenerate", lambda v: isinstance(v, bool)),
     "lof_clipped": ("lof_clipped", lambda v: isinstance(v, bool)),

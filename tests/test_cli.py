@@ -450,6 +450,14 @@ class TestSimulateEvaluate:
         assert out.read_text() == "kept\n"
         assert not Path(str(out) + ".manifest.json").exists()
 
+    def test_simulate_gives_up_on_degenerate_fits(self, tmp_path, series_csv, collapse_tries):
+        collapse_tries()
+        out = tmp_path / "s.jsonl"
+        args = ["simulate", str(series_csv), "--deltas", "2.0", "--replicates", "1",
+                "--em-restarts", "1", "--out", str(out)]
+        assert main(args) == 4
+        assert not Path(str(out) + ".manifest.json").exists()
+
     def test_evaluate_hand_written_records(self, tmp_path):
         scores = tmp_path / "scores.jsonl"
         h1 = replicate_line(hypothesis="H1", delta=2, t_kld=0.7)
@@ -595,6 +603,74 @@ class TestModelDocument:
         data.write_text("0\n1.5\n2\n")
         assert main(["influence", str(doc), str(data), "--out", str(out)]) == 3
         assert "discrete observations must be integer symbols" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "window, symbols, code, message",
+        [
+            ("0", "0 1 2 1 0", 2, "--window must be >= 1, got 0"),
+            ("-1", "0 1 2 1 0", 2, "--window must be >= 1, got -1"),
+            ("6", "0 1 2 1 0", 2, "--window must be <= 5, got 6"),
+            # The bound is checked before any compute, so it wins over the
+            # out-of-range symbol 7; a window in range meets the symbol.
+            ("0", "0 1 7 1 0", 2, "--window must be >= 1, got 0"),
+            ("9", "0 1 7 1 0", 2, "--window must be <= 5, got 9"),
+            ("1", "0 1 7 1 0", 3, "symbol out of range [0, 3): 7"),
+            ("2", "0 1 7 1 0", 3, "symbol out of range [0, 3): 7"),
+        ],
+        ids=["zero", "negative", "above-n", "zero-bad-symbol", "above-n-bad-symbol",
+             "pointwise-bad-symbol", "windowed-bad-symbol"],
+    )
+    def test_window_bound_comes_before_the_data(
+        self, tmp_path, capsys, window, symbols, code, message
+    ):
+        doc = tmp_path / "model.txt"
+        write_document(doc, {})
+        data = tmp_path / "symbols.csv"
+        data.write_text("\n".join(symbols.split()) + "\n")
+        out = tmp_path / "inf.tsv"
+        argv = ["influence", str(doc), str(data), "--window", window, "--out", str(out)]
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_evidence_below_the_double_range(self, tmp_path):
+        # Evidence 1e-400: the backward pass runs again rescaled, and both
+        # profiles are written.
+        doc = tmp_path / "model.txt"
+        doc.write_text(
+            "hmmkld-model v1\nstates 3\ninitial 1.0 0.0 0.0\ntransition\n"
+            "1.0 1e-200 0.0\n1e-200 0.0 1.0\n0.0 1e-200 1.0\n"
+            "emission discrete\nsymbols 3\n1 0 0\n0 1 0\n0 0 1\n"
+        )
+        data = tmp_path / "symbols.csv"
+        data.write_text("0\n1\n0\n")
+        out = tmp_path / "inf.tsv"
+        assert main(["influence", str(doc), str(data), "--out", str(out)]) == 0
+        rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+        posterior = np.array([[float(v) for v in row[5:]] for row in rows])
+        np.testing.assert_array_equal(posterior, np.eye(3)[[0, 1, 0]])
+        # Each window's K is +inf, as the enumeration finds, and not NaN.
+        argv = ["influence", str(doc), str(data), "--window", "2", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_text().splitlines()[1:] == ["1\tinf", "2\tinf"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,b,c\n1,2,3\n", "line 2: expected 1 or 2 columns, got 3"),
+        ("label,value\n1880,0.5\n0.25\n", "line 3: expected 2 columns, got 1"),
+    ],
+    ids=["three-columns", "ragged"],
+)
+def test_bad_csv_columns_name_the_line(tmp_path, model_file, capsys, text, message):
+    data = tmp_path / "bad.csv"
+    data.write_text(text)
+    out = tmp_path / "inf.tsv"
+    assert main(["influence", str(model_file), str(data), "--out", str(out)]) == 3
+    assert f"{data}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

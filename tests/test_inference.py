@@ -21,6 +21,15 @@ from hmmkld.reference import (
 from conftest import random_discrete_model, random_gaussian_model
 
 
+# Evidence 1e-400, below the double range, on the symbols 0 1 0. The forward
+# rows rescale at every step and stay positive.
+BELOW_DOUBLE_RANGE = HmmModel(
+    [1.0, 0.0, 0.0],
+    [[1.0, 1e-200, 0.0], [1e-200, 0.0, 1.0], [0.0, 1e-200, 1.0]],
+    DiscreteEmission(np.eye(3)),
+)
+
+
 class TestForwardBackward:
     def test_single_state_log_evidence(self):
         model = HmmModel(
@@ -119,13 +128,8 @@ class TestForwardBackward:
         [
             ([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]],
              [0, 2], "observation 1 has zero probability in every state"),
-            # The evidence, 1e-400, lies below the double range. The forward
-            # rows rescale at every step and stay positive, but one backward
-            # step multiplies two factors of 1e-200 in every state.
-            ([1.0, 0.0, 0.0], [[1.0, 1e-200, 0.0], [1e-200, 0.0, 1.0], [0.0, 1e-200, 1.0]],
-             np.eye(3), [0, 1, 0], "impossible evidence after index 0"),
         ],
-        ids=["every-state", "backward-underflow"],
+        ids=["every-state"],
     )
     def test_impossible_evidence_names_the_index(
         self, initial, transition, table, symbols, message
@@ -133,6 +137,58 @@ class TestForwardBackward:
         model = HmmModel(initial, transition, DiscreteEmission(table))
         with pytest.raises(EvidenceImpossibleError, match=message):
             forward_backward(model, ObservationSequence(np.array(symbols)))
+
+    def test_evidence_below_the_double_range_is_finite(self):
+        # The plain backward step at index 0 multiplies two factors of
+        # 1e-200 in every state; the rescaled pass recovers the evidence.
+        model, obs = BELOW_DOUBLE_RANGE, ObservationSequence(np.array([0, 1, 0]))
+        fb = forward_backward(model, obs)
+        assert fb.log_evidence == pytest.approx(2 * np.log(1e-200), abs=1e-9)
+        assert fb.log_evidence == pytest.approx(
+            enumeration_log_evidence(model, obs), abs=1e-9
+        )
+        for i in range(len(fb)):
+            assert fb.log_evidence_at(i) == pytest.approx(fb.log_evidence, abs=1e-9)
+        np.testing.assert_allclose(
+            posterior_marginals(fb), enumeration_marginals(model, obs), atol=1e-12
+        )
+
+    def test_rescaled_lane_leaves_the_other_lanes_alone(self, rng):
+        # Only the lane whose backward pass underflows runs the rescaled
+        # pass; the other lane's rows equal a call on it alone, bit for bit.
+        tiny = BELOW_DOUBLE_RANGE
+        plain = random_discrete_model(rng, 3, 3)
+        lanes = HmmModel(
+            np.stack([plain.initial, tiny.initial]),
+            np.stack([plain.transition, tiny.transition]),
+            DiscreteEmission(np.stack([plain.emission.table, tiny.emission.table])),
+        )
+        obs = ObservationSequence(np.array([0, 1, 0]))
+        both = forward_backward(lanes, obs)
+        for r, model in enumerate((plain, tiny)):
+            alone = forward_backward(model, obs)
+            for field in ("fwd", "bwd", "log_scale_fwd", "log_scale_bwd"):
+                np.testing.assert_array_equal(getattr(both, field)[r], getattr(alone, field))
+            assert both.log_evidence[r] == alone.log_evidence
+
+    def test_backward_underflow_after_rescaling_raises(self):
+        # The evidence is 0.25e-400 > 0, along states 2, 1, 1. At index 1,
+        # state 1's weight (1e-200) times its backward entry (2e-200)
+        # underflows, and the only other state there with weight, 2, has
+        # no way in: the step is 0 in every state, rescaled or not.
+        model = HmmModel(
+            [0.5, 0.0, 0.5],
+            [[1.0, 0.0, 0.0], [1.0, 1e-200, 0.0], [0.5, 0.5, 0.0]],
+            DiscreteEmission([[0.0, 0.0, 1.0], [1.0, 1e-200, 0.0], [0.0, 1.0, 0.0]]),
+        )
+        obs = ObservationSequence(np.array([1, 1, 0]))
+        assert enumeration_log_evidence(model, obs) == pytest.approx(
+            np.log(0.25) + 2 * np.log(1e-200)
+        )
+        with pytest.raises(
+            EvidenceImpossibleError, match="backward pass underflowed after index 0"
+        ):
+            forward_backward(model, obs)
 
 
 class TestPosteriorMarginals:

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from hmmkld import (
+    DegenerateFitError,
     EmConfig,
     GaussianEmission,
     HmmModel,
     ModelError,
     ScoredReplicate,
     SimulationConfig,
+    em_fit,
     empirical_auc,
     lof_scores,
     lof_statistic,
@@ -309,6 +311,20 @@ class TestSimulate:
         assert again == first
         # With the collapses used up, the first draw is kept.
         assert first != simulate(cfg, 2.0, 0)
+
+    def test_gives_up_after_twenty_redraws(self, collapse_tries, monkeypatch):
+        cfg = SimulationConfig(source=synthetic_source(), seed=3, em_restarts=1)
+        collapse_tries()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return em_fit(*args)
+
+        monkeypatch.setattr(outliers, "em_fit", counted)
+        with pytest.raises(DegenerateFitError):
+            simulate(cfg, 2.0, 0)
+        assert len(calls) == 21
 
     def test_bad_delta(self):
         cfg = SimulationConfig(source=synthetic_source(), seed=0)

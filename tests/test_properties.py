@@ -6,6 +6,8 @@ Models are drawn at random, including transition matrices within 1e-12 of
 the identity, where posterior marginals sit next to 0 and 1.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from hmmkld import (
     DiscreteEmission,
     EmConfig,
+    EvidenceImpossibleError,
     GaussianEmission,
     HmmModel,
     ObservationSequence,
@@ -26,6 +29,7 @@ from hmmkld import (
     sample,
     windowed_influence,
 )
+from hmmkld.reference import enumeration_influence, enumeration_log_evidence
 from hmmkld.training import _expected_transition_counts
 
 from loop_reference import (
@@ -139,6 +143,58 @@ def test_transition_counts_match_loop(problem):
         rtol=1e-12,
         atol=0.0,
     )
+
+
+@st.composite
+def sparse_problems(draw):
+    """(model, symbols): a discrete model with m, k <= 3 whose entries are 0
+    or, before each row is normalised, in [0.01, 1], and n <= 6 symbols."""
+    m, k, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero_frac = draw(st.sampled_from([0.2, 0.4, 0.6]))
+
+    def rows(shape):
+        a = rng.uniform(0.01, 1.0, shape) * (rng.random(shape) >= zero_frac)
+        a[..., 0] += a.sum(axis=-1) == 0.0
+        return a / a.sum(axis=-1, keepdims=True)
+
+    model = HmmModel(rows((m,)), rows((m, m)), DiscreteEmission(rows((m, k))))
+    return model, ObservationSequence(rng.integers(0, k, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_problems())
+def test_impossible_evidence_decided_as_by_enumeration(problem):
+    """forward_backward raises exactly where the enumeration finds the
+    evidence impossible, never from the backward pass (nothing here comes
+    near underflow), and otherwise agrees on the log evidence."""
+    model, obs = problem
+    try:
+        expected = enumeration_log_evidence(model, obs)
+    except EvidenceImpossibleError:
+        with pytest.raises(EvidenceImpossibleError) as caught:
+            forward_backward(model, obs)
+        assert "backward" not in str(caught.value)
+        return
+    assert forward_backward(model, obs).log_evidence == pytest.approx(expected, abs=1e-10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_problems(), st.integers(1, 6))
+def test_windowed_matches_enumeration_on_sparse_models(problem, h):
+    """Zero entries leave some states with no way on. Their kernel rows stay
+    zero, so K is the enumeration's value, +inf included, never NaN, and
+    no numpy warning escapes."""
+    model, obs = problem
+    h = min(h, len(obs))
+    try:
+        expected = enumeration_influence(model, obs, window=h)
+    except EvidenceImpossibleError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = windowed_influence(model, obs, h).k
+    assert_close_or_equal_inf(k, expected, 1e-9)
 
 
 @st.composite

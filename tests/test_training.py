@@ -5,6 +5,7 @@ import pytest
 
 from hmmkld import (
     DegenerateFitError,
+    DiscreteEmission,
     EmConfig,
     GaussianEmission,
     HmmModel,
@@ -178,6 +179,19 @@ class TestEmFit:
         assert forward_backward(reordered, obs).log_evidence == pytest.approx(
             forward_backward(model, obs).log_evidence, abs=1e-9
         )
+
+
+    def test_constant_series_single_state(self):
+        # Zero spread: the start falls back to a spread of 1e-3 times the mean.
+        result = em_fit(ObservationSequence(np.full(12, 2.5)), EmConfig(num_states=1, seed=0))
+        assert result.model.emission.means[0] == pytest.approx(2.5)
+        assert np.all(np.isfinite(result.log_likelihoods))
+
+    def test_canonical_order_of_discrete_model_is_identity(self):
+        model = HmmModel(
+            [0.5, 0.3, 0.2], np.full((3, 3), 1 / 3), DiscreteEmission(np.full((3, 2), 0.5))
+        )
+        np.testing.assert_array_equal(canonical_state_order(model), [0, 1, 2])
 
 
 class TestDegenerateRestarts:
