@@ -186,7 +186,25 @@ def _rescaled_backward(alpha: np.ndarray, w_col: np.ndarray):
     return bwd, log_d
 
 
+def _normalized_product(a: np.ndarray, b: np.ndarray, refuse) -> np.ndarray:
+    """The rows of ``a * b`` (last axis), each divided by its sum. The first
+    index i along the second-to-last axis whose row sums to 0, in any
+    lane, raises ``refuse(i)``."""
+    prod = a * b
+    total = prod.sum(axis=-1, keepdims=True)
+    zero = (total == 0.0).reshape(-1, total.shape[-2]).any(axis=0)
+    if zero.any():
+        raise refuse(int(np.argmax(zero)))
+    return prod / total
+
+
 def posterior_marginals(fb: ForwardBackward) -> np.ndarray:
-    """Posterior state marginals, one row per index (per lane), each summing to one."""
-    prod = fb.fwd * fb.bwd
-    return prod / prod.sum(axis=-1, keepdims=True)
+    """Posterior state marginals, one row per index (per lane), each summing to one.
+
+    The evidence is positive, so a row that sums to 0 is underflow and
+    raises ``EvidenceImpossibleError``.
+    """
+    message = "the backward pass underflowed at index {}"
+    return _normalized_product(
+        fb.fwd, fb.bwd, lambda i: EvidenceImpossibleError(message.format(i))
+    )

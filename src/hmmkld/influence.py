@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import ForwardBackward, forward_backward, posterior_marginals
+from .inference import ForwardBackward, _normalized_product, forward_backward, posterior_marginals
 from .model import HmmModel, ModelError, ObservationSequence, check_count, check_plain
 
 
@@ -64,25 +64,21 @@ class WindowInfluenceProfile:
 
 def forward_star(model: HmmModel, fb: ForwardBackward) -> StarForward:
     """Emission-free forward recursion driven by the standard forward rows."""
-    n = len(fb)
-    fstar = np.empty_like(fb.fwd)
-    log_scale = np.empty(n)
-    fstar[0] = model.initial
-    log_scale[0] = 0.0
-    fstar[1:] = fb.fwd[:-1] @ model.transition
-    log_scale[1:] = fb.log_scale_fwd[:-1]
-    return StarForward(fstar=fstar, log_scale=log_scale)
+    return StarForward(
+        fstar=np.concatenate([model.initial[None], fb.fwd[:-1] @ model.transition]),
+        log_scale=np.concatenate([[0.0], fb.log_scale_fwd[:-1]]),
+    )
+
+
+def _leave_out_impossible(j: int) -> LeaveOneOutImpossibleError:
+    return LeaveOneOutImpossibleError(f"impossible leave-out evidence at index {j}")
 
 
 def loo_marginal(star: StarForward, fb: ForwardBackward, j: int) -> np.ndarray:
     """Posterior marginal of the hidden state at j given all other observations."""
-    prod = star.fstar[j] * fb.bwd[j]
-    total = prod.sum()
-    if total == 0.0:
-        raise LeaveOneOutImpossibleError(
-            f"impossible leave-one-out evidence at index {j}"
-        )
-    return prod / total
+    return _normalized_product(
+        star.fstar[j, None], fb.bwd[j, None], lambda _: _leave_out_impossible(j)
+    )[0]
 
 
 def kl_divergence(p, q):
@@ -111,12 +107,8 @@ def kld_influence(model: HmmModel, obs: ObservationSequence) -> InfluenceProfile
     fb = forward_backward(model, obs)
     star = forward_star(model, fb)
     marg = posterior_marginals(fb)
-    n = len(fb)
-    loo = np.empty_like(marg)
-    k = np.empty(n)
-    for j in range(n):
-        loo[j] = loo_marginal(star, fb, j)
-        k[j] = kl_divergence(loo[j], marg[j])
+    loo = _normalized_product(star.fstar, fb.bwd, _leave_out_impossible)
+    k = np.array([kl_divergence(p, q) for p, q in zip(loo, marg)])
     return InfluenceProfile(k=k, loo_marginals=loo, marginals=marg)
 
 
@@ -164,14 +156,7 @@ def windowed_influence(
         v = hvec[t + 1] @ alpha.T
         hvec[t] = v / v.max(axis=1, keepdims=True)
     # Initial marginals of the two sub-chain laws at each window start.
-    p_star = star.fstar[:num_windows] * hvec[0]
-    total = p_star.sum(axis=1, keepdims=True)
-    if np.any(total == 0.0):
-        j = int(np.argmax(total[:, 0] == 0.0))
-        raise LeaveOneOutImpossibleError(
-            f"impossible leave-out evidence for window at index {j}"
-        )
-    m_star = p_star / total
+    m_star = _normalized_product(star.fstar[:num_windows], hvec[0], _leave_out_impossible)
     k = kl_divergence(m_star, marg[:num_windows])
     # Full-evidence transition kernel into each index i + 1, shared by
     # every window that covers i.

@@ -103,16 +103,9 @@ def kld_influence_naive(model: HmmModel, obs: ObservationSequence) -> InfluenceP
 
     # Forward re-runs: row j holds the scaled forward vector of the pass
     # that skips the emission factor at j.
-    state = np.tile(model.initial * w[0], (n, 1))
-    state[0] = model.initial
-    sums = state.sum(axis=1)
-    if np.any(sums == 0.0):
-        raise EvidenceImpossibleError("impossible evidence at index 0")
-    state /= sums[:, None]
+    propagated = np.tile(model.initial, (n, 1))
     rec_fwd = np.empty((n, m))
-    rec_fwd[0] = state[0]
-    for i in range(1, n):
-        propagated = state @ alpha
+    for i in range(n):
         state = propagated * w[i]
         state[i] = propagated[i]
         sums = state.sum(axis=1)
@@ -120,17 +113,20 @@ def kld_influence_naive(model: HmmModel, obs: ObservationSequence) -> InfluenceP
             raise EvidenceImpossibleError(f"impossible evidence at index {i}")
         state /= sums[:, None]
         rec_fwd[i] = state[i]
+        propagated = state @ alpha
 
     # Backward re-runs, mirrored.
     state = np.ones((n, m))
-    rec_bwd = np.empty((n, m))
-    rec_bwd[n - 1] = state[n - 1]
+    rec_bwd = np.ones((n, m))
     for i in range(n - 2, -1, -1):
         weighted = state * w[i + 1]
         weighted[i + 1] = state[i + 1]
-        state = weighted @ alpha.T
+        # Each row peaks at 1 before the matmul, as in the rescaled fast pass;
+        # a row of zeros turns into NaN here and fails the test below.
+        with np.errstate(invalid="ignore"):
+            state = (weighted / weighted.max(axis=1, keepdims=True)) @ alpha.T
         tops = state.max(axis=1)
-        if np.any(tops == 0.0):
+        if not np.all(tops > 0.0):
             raise EvidenceImpossibleError(f"impossible evidence after index {i}")
         state /= tops[:, None]
         rec_bwd[i] = state[i]

@@ -4,6 +4,40 @@ import pytest
 from hmmkld import DiscreteEmission, GaussianEmission, HmmModel, training
 
 
+# Evidence 1e-400, below the double range, on the symbols 0 1 0. The forward
+# rows rescale at every step and stay positive.
+BELOW_DOUBLE_RANGE = HmmModel(
+    [1.0, 0.0, 0.0],
+    [[1.0, 1e-200, 0.0], [1e-200, 0.0, 1.0], [0.0, 1e-200, 1.0]],
+    DiscreteEmission(np.eye(3)),
+)
+
+# Evidence 1e-600 on the symbols 1 1 1, all of it on state 0. The plain
+# backward pass gives the row [0, 1] at index 0: state 0's entry underflows
+# and state 1's does not, so no normalizer is 0 and the rescaled pass never
+# runs, while the forward row there is [1, 0]. The enumeration's K is 0 at
+# every index and window.
+POSTERIOR_ROW_UNDERFLOW = HmmModel(
+    [1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], DiscreteEmission([[1.0, 1e-200], [0.5, 0.5]])
+)
+
+# The star forward row times the backward row underflows in every state at
+# index 0 of the symbols 2 1, where the enumeration's K is 0.
+LEAVE_OUT_UNDERFLOW = HmmModel(
+    [0.0, 1.0, 1e-200],
+    [[1 / 3] * 3, [0.0, 0.0, 1.0], [1e-200, 1e-200, 1.0]],
+    DiscreteEmission([[1 / 3] * 3, [1.0, 1e-200, 0.0], [1e-200, 0.0, 1.0]]),
+)
+
+# The same for the window of 2 starting at index 1 of the symbols 0 2 2 1,
+# where the enumeration's K is 0.
+WINDOW_START_UNDERFLOW = HmmModel(
+    [0.5, 5e-201, 0.5],
+    [[0.0, 1.0, 0.0], [1e-200, 1e-200, 1.0], [0.0, 0.0, 1.0]],
+    DiscreteEmission([[1e-200, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+)
+
+
 def random_discrete_model(rng, m, k, floor=0.1):
     g = rng.random(m) + floor
     g /= g.sum()

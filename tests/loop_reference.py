@@ -87,7 +87,7 @@ def windowed_influence_loop(model, obs, h) -> np.ndarray:
         total = p_star.sum()
         if total == 0.0:
             raise LeaveOneOutImpossibleError(
-                f"impossible leave-out evidence for window at index {j}"
+                f"impossible leave-out evidence at index {j}"
             )
         p_star = p_star / total
         total_k = kl_row(p_star, marg[j])

@@ -10,6 +10,8 @@ from hmmkld import GaussianEmission, HmmModel, sample
 from hmmkld.cli import main
 from hmmkld.serialize import dump_model, read_model
 
+from conftest import LEAVE_OUT_UNDERFLOW, POSTERIOR_ROW_UNDERFLOW, WINDOW_START_UNDERFLOW
+
 
 def replicate_line(drop=None, **changes):
     """A scores-file line: an H0 record with ``changes`` applied, ``drop`` left out."""
@@ -654,6 +656,33 @@ class TestModelDocument:
         argv = ["influence", str(doc), str(data), "--window", "2", "--out", str(out)]
         assert main(argv) == 0
         assert out.read_text().splitlines()[1:] == ["1\tinf", "2\tinf"]
+
+    @pytest.mark.parametrize(
+        "model, symbols, window, message",
+        [
+            (POSTERIOR_ROW_UNDERFLOW, "1 1 1", "1", "the backward pass underflowed at index 0"),
+            (POSTERIOR_ROW_UNDERFLOW, "1 1 1", "2", "the backward pass underflowed at index 0"),
+            (LEAVE_OUT_UNDERFLOW, "2 1", "1", "impossible leave-out evidence at index 0"),
+            (WINDOW_START_UNDERFLOW, "0 2 2 1", "2", "impossible leave-out evidence at index 1"),
+        ],
+        ids=["posterior-row", "posterior-row-windowed", "leave-out", "window-start"],
+    )
+    def test_underflowing_row_is_numeric_error(
+        self, tmp_path, capsys, model, symbols, window, message
+    ):
+        # A zero posterior or leave-out row is refused with exit 4, and no
+        # profile or manifest is written (the posterior-row model once gave
+        # NaN with --window 2).
+        doc = tmp_path / "model.txt"
+        doc.write_text(dump_model(model))
+        data = tmp_path / "symbols.csv"
+        data.write_text("\n".join(symbols.split()) + "\n")
+        out = tmp_path / "inf.tsv"
+        argv = ["influence", str(doc), str(data), "--window", window, "--out", str(out)]
+        assert main(argv) == 4
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert not Path(str(out) + ".manifest.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -18,15 +18,11 @@ from hmmkld.reference import (
     enumeration_marginals,
 )
 
-from conftest import random_discrete_model, random_gaussian_model
-
-
-# Evidence 1e-400, below the double range, on the symbols 0 1 0. The forward
-# rows rescale at every step and stay positive.
-BELOW_DOUBLE_RANGE = HmmModel(
-    [1.0, 0.0, 0.0],
-    [[1.0, 1e-200, 0.0], [1e-200, 0.0, 1.0], [0.0, 1e-200, 1.0]],
-    DiscreteEmission(np.eye(3)),
+from conftest import (
+    BELOW_DOUBLE_RANGE,
+    POSTERIOR_ROW_UNDERFLOW,
+    random_discrete_model,
+    random_gaussian_model,
 )
 
 
@@ -222,3 +218,22 @@ class TestPosteriorMarginals:
             log_scale_fwd=fb.log_scale_fwd - np.log(scales),
         )
         np.testing.assert_allclose(posterior_marginals(scaled), base, atol=1e-12)
+
+    def test_zero_row_is_backward_underflow(self, rng):
+        # The forward row [1, 0] meets the backward row [0, 1] at index 0.
+        # A zero row is refused, not turned into NaN, and in a lane model
+        # the index is named whichever lane holds the row.
+        tiny = POSTERIOR_ROW_UNDERFLOW
+        plain = random_discrete_model(rng, 2, 2)
+        lanes = HmmModel(
+            np.stack([plain.initial, tiny.initial]),
+            np.stack([plain.transition, tiny.transition]),
+            DiscreteEmission(np.stack([plain.emission.table, tiny.emission.table])),
+        )
+        obs = ObservationSequence(np.array([1, 1, 1]))
+        for model in (tiny, lanes):
+            fb = forward_backward(model, obs)
+            with pytest.raises(
+                EvidenceImpossibleError, match="the backward pass underflowed at index 0"
+            ):
+                posterior_marginals(fb)

@@ -5,8 +5,10 @@ import pytest
 
 from hmmkld import (
     DiscreteEmission,
+    EvidenceImpossibleError,
     GaussianEmission,
     HmmModel,
+    LeaveOneOutImpossibleError,
     ModelError,
     ObservationSequence,
     forward_backward,
@@ -24,7 +26,14 @@ from hmmkld.reference import (
     enumeration_marginals,
 )
 
-from conftest import random_discrete_model, random_gaussian_model
+from conftest import (
+    BELOW_DOUBLE_RANGE,
+    LEAVE_OUT_UNDERFLOW,
+    POSTERIOR_ROW_UNDERFLOW,
+    WINDOW_START_UNDERFLOW,
+    random_discrete_model,
+    random_gaussian_model,
+)
 
 
 class TestForwardStar:
@@ -64,6 +73,17 @@ class TestForwardStar:
 
 
 class TestLooMarginal:
+    def test_is_the_profile_row_exactly(self, rng):
+        for _ in range(10):
+            m = int(rng.integers(1, 9))
+            model = random_discrete_model(rng, m, 4)
+            obs = ObservationSequence(rng.integers(0, 4, 30))
+            fb = forward_backward(model, obs)
+            star = forward_star(model, fb)
+            loo = kld_influence(model, obs).loo_marginals
+            for j in range(len(obs)):
+                np.testing.assert_array_equal(loo_marginal(star, fb, j), loo[j])
+
     def test_single_observation_returns_initial(self, rng):
         model = random_discrete_model(rng, 3, 2)
         obs = ObservationSequence(np.array([1]))
@@ -219,6 +239,16 @@ class TestNaiveEngine:
                 naive.loo_marginals, fast.loo_marginals, atol=1e-10
             )
 
+    def test_agrees_below_the_double_range(self):
+        # Both backward passes rescale each weighted row before the matmul,
+        # so neither underflows on evidence of 1e-400.
+        model, obs = BELOW_DOUBLE_RANGE, ObservationSequence(np.array([0, 1, 0]))
+        fast = kld_influence(model, obs)
+        naive = kld_influence_naive(model, obs)
+        np.testing.assert_allclose(naive.k, fast.k, atol=1e-9)
+        np.testing.assert_allclose(naive.loo_marginals, fast.loo_marginals, atol=1e-9)
+        np.testing.assert_allclose(fast.k, enumeration_influence(model, obs), atol=1e-9)
+
 
 class TestWindowedInfluence:
     def test_h1_equals_pointwise_profile(self, rng):
@@ -266,6 +296,37 @@ class TestWindowedInfluence:
             windowed_influence(model, obs, 0)
         with pytest.raises(ModelError):
             windowed_influence(model, obs, 6)
+
+
+@pytest.mark.parametrize(
+    "model, symbols, h, error, message",
+    [
+        (POSTERIOR_ROW_UNDERFLOW, [1, 1, 1], 1, EvidenceImpossibleError,
+         "the backward pass underflowed at index 0"),
+        (POSTERIOR_ROW_UNDERFLOW, [1, 1, 1], 2, EvidenceImpossibleError,
+         "the backward pass underflowed at index 0"),
+        (LEAVE_OUT_UNDERFLOW, [2, 1], 1, LeaveOneOutImpossibleError,
+         "impossible leave-out evidence at index 0"),
+        (WINDOW_START_UNDERFLOW, [0, 2, 2, 1], 2, LeaveOneOutImpossibleError,
+         "impossible leave-out evidence at index 1"),
+    ],
+    ids=["posterior-row", "posterior-row-windowed", "leave-out", "window-start"],
+)
+def test_underflowing_row_is_refused(model, symbols, h, error, message):
+    # The enumeration's K is 0 at the named index, so each refusal stands
+    # for a value that a log-space product could give, and is never NaN.
+    obs = ObservationSequence(np.array(symbols))
+    index = int(message.rsplit(" ", 1)[1])
+    assert enumeration_influence(model, obs, window=h)[index] == 0.0
+    with pytest.raises(error, match=message):
+        if h == 1:
+            kld_influence(model, obs)
+        else:
+            windowed_influence(model, obs, h)
+    if error is LeaveOneOutImpossibleError and h == 1:
+        fb = forward_backward(model, obs)
+        with pytest.raises(error, match=message):
+            loo_marginal(forward_star(model, fb), fb, index)
 
 
 def test_enumeration_leaves_out_a_zero_emission_term():

@@ -6,6 +6,7 @@ Models are drawn at random, including transition matrices within 1e-12 of
 the identity, where posterior marginals sit next to 0 and 1.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -19,12 +20,14 @@ from hmmkld import (
     EvidenceImpossibleError,
     GaussianEmission,
     HmmModel,
+    LeaveOneOutImpossibleError,
     ObservationSequence,
     em_fit,
     empirical_auc,
     forward_backward,
     kld_influence,
     kld_influence_naive,
+    posterior_marginals,
     reorder_states,
     sample,
     windowed_influence,
@@ -146,15 +149,19 @@ def test_transition_counts_match_loop(problem):
 
 
 @st.composite
-def sparse_problems(draw):
+def sparse_problems(draw, levels=None):
     """(model, symbols): a discrete model with m, k <= 3 whose entries are 0
-    or, before each row is normalised, in [0.01, 1], and n <= 6 symbols."""
+    or, before each row is normalised, in [0.01, 1] (with ``levels`` set,
+    drawn from those values), and n <= 6 symbols."""
     m, k, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     zero_frac = draw(st.sampled_from([0.2, 0.4, 0.6]))
 
     def rows(shape):
-        a = rng.uniform(0.01, 1.0, shape) * (rng.random(shape) >= zero_frac)
+        if levels is None:
+            a = rng.uniform(0.01, 1.0, shape) * (rng.random(shape) >= zero_frac)
+        else:
+            a = rng.choice(levels, shape)
         a[..., 0] += a.sum(axis=-1) == 0.0
         return a / a.sum(axis=-1, keepdims=True)
 
@@ -195,6 +202,30 @@ def test_windowed_matches_enumeration_on_sparse_models(problem, h):
         warnings.simplefilter("error")
         k = windowed_influence(model, obs, h).k
     assert_close_or_equal_inf(k, expected, 1e-9)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(sparse_problems(levels=[0.0, 1e-200, 1.0]), st.integers(1, 4))
+def test_no_influence_entry_point_returns_nan(problem, h):
+    """Entries of 0 and 1e-200 put the evidence far below the double range,
+    where rows can underflow. Each entry point then refuses, with one of
+    its two documented errors, or returns no NaN, and no numpy warning
+    escapes."""
+    model, obs = problem
+    h = min(h, len(obs))
+    entry_points = [
+        lambda: [posterior_marginals(forward_backward(model, obs))],
+        lambda: dataclasses.astuple(kld_influence(model, obs)),
+        lambda: [windowed_influence(model, obs, h).k],
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for run in entry_points:
+            try:
+                arrays = run()
+            except (EvidenceImpossibleError, LeaveOneOutImpossibleError):
+                continue
+            assert not any(np.isnan(a).any() for a in arrays)
 
 
 @st.composite
