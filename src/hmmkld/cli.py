@@ -8,6 +8,7 @@ reproduced exactly from the manifest. Exit codes: 0 success, 2 usage,
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -22,8 +23,12 @@ from . import __version__
 from .influence import LeaveOneOutImpossibleError, check_window, kld_influence, windowed_influence
 from .model import EvidenceImpossibleError, ModelError, check_count
 from .outliers import (
+    METHODS,
+    NUM_STATES,
     SimulationConfig,
     auc_table,
+    check_deltas,
+    detector_config,
     lof_statistic,
     scored_replicates,
     z_value_scores,
@@ -157,12 +162,7 @@ def cmd_detect(args, manifest: _Manifest) -> None:
         raise _UsageError(f"--threshold must be finite, got {args.threshold}")
     # Every method checks --states and --restarts; z uses --states as its k.
     cfg = _config(
-        EmConfig,
-        num_states=args.states,
-        num_restarts=args.restarts,
-        tie_transitions=True,
-        homoscedastic=True,
-        seed=args.seed,
+        detector_config, num_states=args.states, restarts=args.restarts, seed=args.seed
     )
     obs = read_observations(args.data)
     manifest.phase("load")
@@ -194,7 +194,7 @@ def cmd_detect(args, manifest: _Manifest) -> None:
 
 
 def cmd_simulate(args, manifest: _Manifest) -> None:
-    deltas = _parse_deltas(args.deltas)
+    deltas = _config(check_deltas, name="--deltas", deltas=_parse_deltas(args.deltas))
     source = read_observations(args.data)
     cfg = _config(
         SimulationConfig,
@@ -233,10 +233,7 @@ def cmd_evaluate(args, manifest: _Manifest) -> None:
     scored = parse_replicate_records(text, source=args.scores)
     manifest.phase("load")
     header = ["method", "delta", "auc", "ci_lo", "ci_hi", "replicates", "seed"]
-    rows = [
-        (r.method, r.delta, r.auc, r.ci_lower, r.ci_upper, r.replicates, r.seed)
-        for r in auc_table(scored, args.seed)
-    ]
+    rows = [dataclasses.astuple(row) for row in auc_table(scored, args.seed)]
     Path(args.out).write_text(tsv(header, rows))
     manifest.phase("write")
 
@@ -257,16 +254,9 @@ def _fit_summary(result) -> dict:
 
 def _parse_deltas(raw: str):
     try:
-        deltas = [float(p) for p in raw.split(",") if p.strip()]
+        return [float(p) for p in raw.split(",") if p.strip()]
     except ValueError:
         raise _UsageError(f"bad --deltas value: {raw!r}")
-    if not deltas:
-        raise _UsageError("--deltas must list at least one value")
-    if len(set(deltas)) != len(deltas):
-        raise _UsageError(f"--deltas repeats a value: {raw!r}")
-    if not all(np.isfinite(d) and d >= 0 for d in deltas):
-        raise _UsageError(f"--deltas must be finite and >= 0: {raw!r}")
-    return deltas
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--states", "-m", type=int, default=3)
     p.add_argument("--tie-transitions", action="store_true")
     p.add_argument("--heteroscedastic", action="store_true")
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--restarts", type=int, default=EmConfig.num_restarts)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--canonical", action="store_true", help="sort states by mean")
     p.add_argument("--out-model", required=True)
@@ -299,12 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="flag outlier candidates in a series")
     p.add_argument("data", help="observations CSV")
-    p.add_argument("--method", choices=("kld", "z", "lof"), default="kld")
+    p.add_argument("--method", choices=tuple(METHODS), default="kld")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--top-k", type=int)
     group.add_argument("--threshold", type=float)
-    p.add_argument("--states", "-m", type=int, default=3)
-    p.add_argument("--restarts", type=int, default=5)
+    p.add_argument("--states", "-m", type=int, default=NUM_STATES)
+    p.add_argument("--restarts", type=int, default=SimulationConfig.em_restarts)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--manifest")
@@ -313,11 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate scored benchmark replicates")
     p.add_argument("data", help="source series CSV")
     p.add_argument("--deltas", default="0.5,2.0,3.0")
-    p.add_argument("--replicates", type=int, default=1000)
-    p.add_argument("--subsample", type=int, default=53)
-    p.add_argument("--contamination", type=float, default=0.05)
-    p.add_argument("--em-restarts", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--replicates", type=int, default=SimulationConfig.replicates)
+    p.add_argument("--subsample", type=int, default=SimulationConfig.subsample_size)
+    p.add_argument("--contamination", type=float, default=SimulationConfig.contamination)
+    p.add_argument("--em-restarts", type=int, default=SimulationConfig.em_restarts)
+    p.add_argument("--seed", type=int, default=SimulationConfig.seed)
     p.add_argument("--resume", action="store_true")
     p.add_argument("--out", required=True, help="scores JSON-lines path")
     p.add_argument("--manifest")

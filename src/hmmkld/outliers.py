@@ -182,16 +182,39 @@ def _draw_series(cfg: SimulationConfig, delta: Optional[float], rng):
     return values, positions
 
 
-def _check_delta(delta: Optional[float]) -> None:
-    if delta is not None and not (np.isfinite(delta) and delta >= 0):
-        raise ModelError(f"delta must be finite and >= 0, got {delta!r}")
+def check_deltas(name: str, deltas: Sequence[float]) -> List[float]:
+    """``deltas`` as floats; an empty list, a repeated value or a negative or
+    non-finite one is a ModelError whose message starts with ``name``."""
+    deltas = [float(d) for d in deltas]
+    if not deltas:
+        raise ModelError(f"{name} must list at least one value")
+    if len(set(deltas)) != len(deltas):
+        raise ModelError(f"{name} repeats a value: {deltas}")
+    for delta in deltas:
+        if not (np.isfinite(delta) and delta >= 0):
+            raise ModelError(f"{name} must be finite and >= 0, got {delta!r}")
+    return deltas
+
+
+def detector_config(num_states: int, restarts: int, seed: int) -> EmConfig:
+    """The KLD detector's EM fit: tied transitions, one shared sigma and at
+    most EM_MAX_ITERS iterations."""
+    return EmConfig(
+        num_states=num_states,
+        num_restarts=restarts,
+        max_iters=EM_MAX_ITERS,
+        tie_transitions=True,
+        homoscedastic=True,
+        seed=seed,
+    )
 
 
 def simulate(cfg: SimulationConfig, delta: Optional[float], replicate: int) -> ScoredReplicate:
     """Score one replicate: under H0 when ``delta`` is None, else under H1
     with contamination noise of standard deviation ``delta``. Its RNG
     stream derives from (seed, hypothesis, index, attempt)."""
-    _check_delta(delta)
+    if delta is not None:
+        check_deltas("delta", [delta])
     check_count("replicate", replicate, least=0)
     attempt = 0
     while True:
@@ -199,16 +222,8 @@ def simulate(cfg: SimulationConfig, delta: Optional[float], replicate: int) -> S
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=key))
         values, positions = _draw_series(cfg, delta, rng)
         obs = ObservationSequence(values)
-        em_cfg = EmConfig(
-            num_states=NUM_STATES,
-            num_restarts=cfg.em_restarts,
-            max_iters=EM_MAX_ITERS,
-            tie_transitions=True,
-            homoscedastic=True,
-            seed=int(rng.integers(2**63)),
-        )
         try:
-            fit = em_fit(obs, em_cfg)
+            fit = em_fit(obs, detector_config(NUM_STATES, cfg.em_restarts, int(rng.integers(2**63))))
         except DegenerateFitError:
             # Flag and redraw the replicate from a fresh derived stream.
             attempt += 1
@@ -324,13 +339,7 @@ def scored_replicates(
     once (null replicates do not depend on delta), then one H1 cell per
     delta, each running indices 0..replicates-1. The deltas are checked
     now; each replicate is scored when the iterator reaches it."""
-    deltas = [float(d) for d in deltas]
-    if not deltas:
-        raise ModelError("need at least one delta")
-    if len(set(deltas)) != len(deltas):
-        raise ModelError(f"repeated delta in {deltas}")
-    for delta in deltas:
-        _check_delta(delta)
+    deltas = check_deltas("deltas", deltas)
     keys = [
         ("H0" if delta is None else "H1", delta, q)
         for delta in [None, *deltas]

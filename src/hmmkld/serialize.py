@@ -181,7 +181,9 @@ def parse_observations_csv(text: str, source: str = "<csv>") -> ObservationSeque
     values: List[float] = []
     start = 0
     first = rows[0][1]
-    if not _is_number(first[-1].strip()):
+    try:
+        float(first[-1])
+    except ValueError:
         start = 1  # header row
         if len(rows) == 1:
             raise DataFormatError(f"{source}: no data rows after header")
@@ -198,23 +200,16 @@ def parse_observations_csv(text: str, source: str = "<csv>") -> ObservationSeque
                 f"{source}: line {lineno}: expected {width} columns, got {len(row)}"
             )
         raw = row[-1].strip()
-        if not _is_number(raw):
+        try:
+            value = float(raw)
+        except ValueError:
             raise DataFormatError(f"{source}: line {lineno}: not a number: {raw!r}")
-        value = float(raw)
         if not np.isfinite(value):
             raise DataFormatError(f"{source}: line {lineno}: not a finite number: {raw!r}")
         values.append(value)
         if labels is not None:
             labels.append(row[0].strip())
     return ObservationSequence(np.array(values), labels=labels)
-
-
-def _is_number(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
 
 
 def tsv(header: Sequence[str], rows: Iterable[Sequence]) -> str:

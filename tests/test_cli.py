@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hmmkld import GaussianEmission, HmmModel, sample
+from hmmkld import GaussianEmission, HmmModel, ModelError, outliers, sample
 from hmmkld.cli import main
+from hmmkld.outliers import SimulationConfig, scored_replicates
 from hmmkld.serialize import dump_model, read_model
 
 from conftest import LEAVE_OUT_UNDERFLOW, POSTERIOR_ROW_UNDERFLOW, WINDOW_START_UNDERFLOW
@@ -321,6 +322,13 @@ class TestDetect:
         assert len(fit["restart_final_lls"]) == 4
         assert all(n >= 1 for n in fit["restart_iterations"])
         assert len(fit["restart_converged"]) == 4
+
+    def test_kld_fit_stops_at_the_detector_cap(self, tmp_path, series_csv, monkeypatch):
+        monkeypatch.setattr(outliers, "EM_MAX_ITERS", 2)
+        out = tmp_path / "flags.tsv"
+        assert main(["detect", str(series_csv), "--method", "kld", "--out", str(out)]) == 0
+        fit = json.loads(Path(str(out) + ".manifest.json").read_text())["fit"]
+        assert all(n <= 2 for n in fit["restart_iterations"])
 
     def test_threshold_mode(self, tmp_path, series_csv):
         out = tmp_path / "thr.tsv"
@@ -713,6 +721,31 @@ def test_unparsable_deltas_are_usage_errors(tmp_path, series_csv, capsys, deltas
     assert main(args) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "deltas",
+    [[], [2, 2], [-1], [float("nan")], [float("inf")]],
+    ids=["empty", "repeated", "negative", "nan", "inf"],
+)
+def test_library_and_cli_reject_deltas_alike(tmp_path, series_csv, capsys, deltas):
+    cfg = SimulationConfig(source=np.arange(60.0), replicates=1, em_restarts=1)
+    with pytest.raises(ModelError) as exc:
+        scored_replicates(cfg, deltas)
+    out = tmp_path / "s.jsonl"
+    argv = ["simulate", str(series_csv), "--deltas=" + ",".join(map(str, deltas))]
+    assert main(argv + ["--out", str(out)]) == 2
+    # The library names the argument "deltas", the CLI "--deltas".
+    assert capsys.readouterr().err == f"error: --{exc.value}\n"
+
+
+def test_library_and_cli_accept_the_same_deltas(tmp_path, series_csv):
+    cfg = SimulationConfig(source=np.arange(60.0), replicates=1, em_restarts=1)
+    scored_replicates(cfg, [0.5, 2])
+    out = tmp_path / "s.jsonl"
+    argv = ["simulate", str(series_csv), "--deltas=0.5,2", "--replicates", "1",
+            "--em-restarts", "1", "--out", str(out)]
+    assert main(argv) == 0
 
 
 class TestNonFiniteInput:

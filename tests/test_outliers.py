@@ -420,11 +420,11 @@ class TestScoredReplicates:
     @pytest.mark.parametrize(
         "deltas, message",
         [
-            ([1.0, 2.0, 1.0], "repeated delta"),
-            ([1.0, -1.0], "delta must be finite and >= 0"),
-            ([1.0, np.nan], "delta must be finite and >= 0"),
-            ([1.0, np.inf], "delta must be finite and >= 0"),
-            ([], "need at least one delta"),
+            ([1.0, 2.0, 1.0], "deltas repeats a value"),
+            ([1.0, -1.0], "deltas must be finite and >= 0"),
+            ([1.0, np.nan], "deltas must be finite and >= 0"),
+            ([1.0, np.inf], "deltas must be finite and >= 0"),
+            ([], "deltas must list at least one value"),
         ],
         ids=["repeated", "negative", "nan", "inf", "empty"],
     )
