@@ -6,8 +6,24 @@ by its own maximum, with cumulative log normalizers tracked separately.
 Emission weights are computed in log space and exponentiated after
 subtracting the per-index maximum, so Gaussian densities far above one
 never overflow the linear-space recursions.
+
+The recursions run as a two-level chunked pass, in O(sqrt(n)) numpy steps
+rather than one step per index and direction, with O(n) work. The n - 1
+steps (index i - 1 to i, and back) are cut into chunks of about sqrt(n)
+steps, and the step matrices of each chunk are multiplied into one
+transfer matrix, all chunks at once. A forward row carried through the
+transfer matrices from the left, and a backward row from the right, give
+each chunk its first forward and last backward row; from those, the plain
+recursions run inside every chunk at once. The chunk length depends on n
+alone, so a lane model's lanes each get the arithmetic of a call on that
+lane alone, bit for bit.
+
+A lane whose forward or backward normalizer comes out 0 runs that pass
+again one index at a time with every product formed in log space. No
+positive quantity underflows there, so a 0 there is impossible evidence.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -59,131 +75,254 @@ class ForwardBackward:
 def forward_backward(model: HmmModel, obs: ObservationSequence) -> ForwardBackward:
     """Run the scaled forward and backward recursions on one sequence.
 
-    A lane model runs all of its R lanes in the same loop over the index,
-    on (n, R, m) arrays; a plain model is a batch of one. Every lane's
+    The recursions run as the chunked pass of the module docstring. A lane
+    model runs all of its R lanes in the same numpy steps; a plain model is
+    a batch of one. The chunk length depends on n alone, so every lane's
     rows are bit-identical to a separate call on that lane alone.
     """
     logw = model.log_emission_matrix(obs.values)
     if model.lanes is None:
         logw = logw[None]
-    initial = model.initial.reshape(-1, 1, model.num_states)
-    alpha = model.transition.reshape(-1, model.num_states, model.num_states)
+    m = model.num_states
+    initial = model.initial.reshape(-1, m)
+    alpha = model.transition.reshape(-1, m, m)
     offsets = logw.max(axis=-1)
     if (offsets == -np.inf).any():
         bad = int(np.argmax((offsets == -np.inf).any(axis=0)))
         raise EvidenceImpossibleError(
             f"observation {bad} has zero probability in every state"
         )
-    # Index-major copies, so that each step of the loops below reads and
-    # writes one contiguous (R, m) block. The trailing unit axes let the
-    # transition products run as stacked row- and column-vector matmuls.
-    w = np.ascontiguousarray(np.exp(logw - offsets[..., None]).swapaxes(0, 1))
-    num_lanes, n, m = logw.shape
-    w_row, w_col = w[:, :, None, :], w[:, :, :, None]
+    log_w = logw - offsets[..., None]
 
-    # Each step works in place on row views, which zip draws from the
-    # arrays one step at a time, and calls the ufunc reductions directly:
-    # at small R and m, the per-call overhead of indexing and of the
-    # array-method wrappers costs more than the work.
-    add, biggest = np.add.reduce, np.maximum.reduce
-    fwd = np.empty((n, num_lanes, 1, m))
-    c = np.empty((n, num_lanes, 1, 1))
-    bwd = np.empty((n, num_lanes, m, 1))
-    d = np.empty((n, num_lanes, 1, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(initial, w_row[0], out=fwd[0])
-        add(fwd[0], -1, None, c[0], True)
-        np.divide(fwd[0], c[0], out=fwd[0])
-        for prev, row, w_i, c_i in zip(fwd, fwd[1:], w_row[1:], c[1:]):
-            np.matmul(prev, alpha, out=row)
-            np.multiply(row, w_i, out=row)
-            add(row, -1, None, c_i, True)
-            np.divide(row, c_i, out=row)
-
-        bwd[n - 1] = 1.0
-        v = np.empty((num_lanes, m, 1))
-        for row, ahead, w_ahead, d_i in zip(bwd[-2::-1], bwd[:0:-1], w_col[:0:-1], d[-2::-1]):
-            np.multiply(w_ahead, ahead, out=v)
-            np.matmul(alpha, v, out=row)
-            biggest(row, -2, None, d_i, True)
-            np.divide(row, d_i, out=row)
-    # A zero normalizer makes every later row NaN, so the first zero is
-    # the index where the evidence became impossible.
-    c, d = c[:, :, 0, 0], d[:, :, 0, 0]
-    if not c.all():
-        bad = int(np.argmax((c == 0.0).any(axis=1)))
-        raise EvidenceImpossibleError(f"impossible evidence at index {bad}")
-    # Every forward normalizer is positive, so the evidence is too, and a
-    # zero backward normalizer is underflow: those lanes run the pass again.
-    with np.errstate(divide="ignore"):
-        log_d = np.log(d[:-1])
-    under = ~d[:-1].all(axis=0)
-    if under.any():
-        bwd[:, under], log_d[:, under] = _rescaled_backward(alpha[under], w_col[:, under])
+        fwd, log_c, bwd, log_d = _chunked_pass(initial, alpha, log_w)
+        # A normalizer of 0, or NaN after a 0, marks a lane whose evidence
+        # is impossible or underflowed: the log-space passes decide which,
+        # and replace that lane's rows.
+        stuck = ~(log_c > -np.inf).all(axis=1)
+        if stuck.any():
+            fwd[stuck], log_c[stuck] = _log_space_forward(
+                initial[stuck], alpha[stuck], log_w[stuck]
+            )
+        stuck = ~(log_d > -np.inf).all(axis=1)
+        if stuck.any():
+            bwd[stuck], log_d[stuck] = _log_space_backward(alpha[stuck], log_w[stuck])
 
     # Cumulative log scales as running sums of interleaved terms, which
     # adds them in the order L_i = (L_{i-1} + log c_i) + offset_i.
-    offsets = offsets.T
-    terms = np.empty((2 * n, num_lanes))
-    terms[0::2] = np.log(c)
-    terms[1::2] = offsets
-    log_scale_fwd = np.add.accumulate(terms, axis=0)[1::2]
-    log_scale_bwd = np.zeros((n, num_lanes))
+    num_lanes, n = offsets.shape
+    terms = np.empty((num_lanes, 2 * n))
+    terms[:, 0::2] = log_c
+    terms[:, 1::2] = offsets
+    log_scale_fwd = np.ascontiguousarray(np.add.accumulate(terms, axis=1)[:, 1::2])
+    log_scale_bwd = np.zeros((num_lanes, n))
     if n > 1:
-        terms = terms[: 2 * (n - 1)]
-        # The log ran on the contiguous rows: numpy's vectorized log and
-        # its strided fallback can differ in the last bit.
-        terms[0::2] = log_d[::-1]
-        terms[1::2] = offsets[:0:-1]
-        log_scale_bwd[-2::-1] = np.add.accumulate(terms, axis=0)[1::2]
+        terms = terms[:, : 2 * (n - 1)]
+        terms[:, 0::2] = log_d[:, ::-1]
+        terms[:, 1::2] = offsets[:, :0:-1]
+        log_scale_bwd[:, -2::-1] = np.add.accumulate(terms, axis=1)[:, 1::2]
 
-    # Back to the caller's layout: lane axis first, or none for a plain model.
     if model.lanes is None:
-        def out(a):
-            return a[:, 0]
-    else:
-        def out(a):
-            return np.ascontiguousarray(a.swapaxes(0, 1))
-
-    log_scale_fwd = out(log_scale_fwd)
+        fwd, log_scale_fwd, bwd, log_scale_bwd, logw, offsets = (
+            a[0] for a in (fwd, log_scale_fwd, bwd, log_scale_bwd, logw, offsets)
+        )
     log_evidence = log_scale_fwd[..., n - 1]
     return ForwardBackward(
-        fwd=out(fwd.reshape(n, num_lanes, m)),
+        fwd=fwd,
         log_scale_fwd=log_scale_fwd,
-        bwd=out(bwd.reshape(n, num_lanes, m)),
-        log_scale_bwd=out(log_scale_bwd),
+        bwd=bwd,
+        log_scale_bwd=log_scale_bwd,
         log_evidence=float(log_evidence) if model.lanes is None else log_evidence,
-        log_weights=logw[0] if model.lanes is None else logw,
-        weight_offsets=out(offsets),
+        log_weights=logw,
+        weight_offsets=offsets,
     )
 
 
-def _rescaled_backward(alpha: np.ndarray, w_col: np.ndarray):
-    """The backward pass with each ``v = w[i+1]·b[i+1]`` divided by its
-    maximum before the matmul, the log of which joins that step's log
-    normalizer. It serves the lanes whose plain pass underflowed to 0 in
-    every state; a 0 here too raises ``EvidenceImpossibleError``.
+def _chunked_pass(initial: np.ndarray, alpha: np.ndarray, log_w: np.ndarray):
+    """The scaled recursions for R lanes: ``initial`` is (R, m), ``alpha``
+    (R, m, m) and ``log_w`` the logs of the scaled emission weights, (R, n, m).
 
-    Returns the rows, shape (n, R, m, 1), and the log normalizers, shape
-    (n - 1, R).
+    Returns the forward rows (R, n, m) with the logs of their sum
+    normalizers c, (R, n), and the backward rows (R, n, m) with the logs of
+    their max normalizers d, (R, n - 1). A normalizer of 0 makes the rows
+    after it NaN, and the logs of theirs too.
     """
-    n, num_lanes = w_col.shape[:2]
-    bwd = np.ones(w_col.shape)
-    log_d = np.empty((n - 1, num_lanes))
-    # v can underflow to 0 too, and 0/0 then fails the test below.
-    with np.errstate(invalid="ignore"):
-        for i in range(n - 2, -1, -1):
-            v = w_col[i + 1] * bwd[i + 1]
-            top = v.max(axis=-2, keepdims=True)
-            row = alpha @ (v / top)
-            d_i = row.max(axis=-2, keepdims=True)
-            if not (d_i > 0).all():
-                raise EvidenceImpossibleError(
-                    f"the backward pass underflowed after index {i}"
-                )
-            bwd[i] = row / d_i
-            log_d[i] = (np.log(d_i) + np.log(top))[:, 0, 0]
+    num_lanes, n, m = log_w.shape
+    w = np.exp(log_w)
+    first = np.multiply(initial, w[:, 0])
+    c = first.sum(axis=-1, keepdims=True)
+    first /= c
+    if n == 1:
+        return first[:, None], np.log(c), np.ones((num_lanes, 1, m)), np.zeros((num_lanes, 0))
+
+    # Step i = 1 + j * size + k, for k < size, is M_i = alpha * w_i (the
+    # weights scale the columns): f_i is f_{i-1} M_i and b_{i-1} is M_i b_i,
+    # each normalized. The last of the `chunks` chunks holds the `last`
+    # steps left over. The arrays below are step-major, with the chunk as
+    # their last axis: each step of every chunk is one matmul per lane,
+    # and the normalizers reduce over an axis that is not the inner one.
+    steps = n - 1
+    size = math.isqrt(steps - 1) + 1
+    chunks = -(-steps // size)
+    last = steps - (chunks - 1) * size
+    weights = np.ones((size, num_lanes, m, chunks))
+    by_chunk = weights.transpose(1, 3, 0, 2)
+    full = (chunks - 1) * size
+    by_chunk[:, :-1] = w[:, 1 : 1 + full].reshape(num_lanes, chunks - 1, size, m)
+    by_chunk[:, -1, :last] = w[:, 1 + full :]
+    alpha_t = alpha.swapaxes(-1, -2)
+    add, biggest = np.add.reduce, np.maximum.reduce
+
+    # Each chunk's transfer matrix T, the product of its step matrices, kept
+    # transposed: transfer[r, b, j, a] is T_j[a, b] of lane r. After each
+    # product every row of T (a forward pass from one state) is divided by
+    # its maximum, and the logs of those maxima are summed in `scale`, so
+    # no row underflows however far apart the rows' scales drift.
+    transfer = alpha_t[:, :, None, :] * weights[0, ..., None]
+    flat = transfer.reshape(num_lanes, m, chunks * m)
+    product = np.empty_like(flat)
+    tops = np.ones((size, num_lanes, 1, chunks, m))
+    for k in range(size):
+        active = chunks if k < last else chunks - 1
+        t, top = transfer[:, :, :active], tops[k, :, :, :active]
+        if k:
+            cols = slice(0, active * m)
+            np.matmul(alpha_t, flat[..., cols], out=product[..., cols])
+            np.multiply(
+                product[..., cols].reshape(t.shape), weights[k, :, :, :active, None], out=t
+            )
+        biggest(t, 1, None, top, True)
+        np.divide(t, top, out=t, where=top > 0.0)
+    scale = np.log(tops).sum(axis=0).transpose(2, 0, 3, 1)
+    forward = np.ascontiguousarray(transfer.transpose(2, 0, 1, 3))
+    backward = np.ascontiguousarray(transfer.transpose(2, 0, 3, 1))
+
+    # Carry a forward row into each chunk from the left and a backward row
+    # into each chunk from the right, through the transfer matrices, with
+    # the row scales joined in log space. The carried rows are column
+    # vectors, (R, m, 1) for each chunk.
+    start = np.empty((chunks, num_lanes, m, 1))
+    start[0] = first[..., None]
+    for j in range(chunks - 1):
+        u = np.log(start[j]) + scale[j]
+        u -= biggest(u, -2, None, None, True)
+        np.matmul(forward[j], np.exp(u, out=u), out=start[j + 1])
+    start[1:] /= add(start[1:], -2, None, None, True)
+    end = np.empty((chunks, num_lanes, m, 1))
+    end[-1] = 1.0
+    for j in range(chunks - 1, 0, -1):
+        u = np.log(np.matmul(backward[j], end[j]))
+        u += scale[j]
+        u -= biggest(u, -2, None, None, True)
+        np.exp(u, out=end[j - 1])
+
+    # The plain recursions inside every chunk at once, from those rows.
+    # Each step works in place on views and calls the ufunc reductions
+    # directly: at small R and m, the per-call overhead of indexing and of
+    # the array-method wrappers costs more than the work.
+    rows = np.empty((size, num_lanes, m, chunks))
+    norms = np.ones((size, num_lanes, 1, chunks))
+    prev = np.ascontiguousarray(start[..., 0].transpose(1, 2, 0))
+    for k in range(size):
+        active = chunks if k < last else chunks - 1
+        row, c_k = rows[k, ..., :active], norms[k, ..., :active]
+        np.matmul(alpha_t, prev[..., :active], out=row)
+        np.multiply(row, weights[k, ..., :active], out=row)
+        add(row, 1, None, c_k, True)
+        np.divide(row, c_k, out=row)
+        prev = rows[k]
+    fwd = np.empty((num_lanes, n, m))
+    fwd[:, 0] = first
+    log_c = np.empty((num_lanes, n))
+    log_c[:, 0] = np.log(c[:, 0])
+    _unchunk(fwd, rows, 1)
+    _unchunk(log_c, np.log(norms[:, :, 0]), 1)
+
+    # b at index n - 1 is all ones. It is step `last` of the last chunk,
+    # unless that chunk is full and it is the end row after it.
+    if last < size:
+        rows[last, ..., -1] = 1.0
+    norms = np.ones((size, num_lanes, 1, chunks))
+    ahead = np.ascontiguousarray(end[..., 0].transpose(1, 2, 0))
+    v = np.empty((num_lanes, m, chunks))
+    for k in range(size - 1, -1, -1):
+        active = chunks if k < last else chunks - 1
+        row, d_k, v_k = rows[k, ..., :active], norms[k, ..., :active], v[..., :active]
+        np.multiply(weights[k, ..., :active], ahead[..., :active], out=v_k)
+        np.matmul(alpha, v_k, out=row)
+        biggest(row, 1, None, d_k, True)
+        np.divide(row, d_k, out=row)
+        ahead = rows[k]
+    bwd = _unchunk(np.ones((num_lanes, n, m)), rows, 0)
+    log_d = _unchunk(np.empty((num_lanes, n - 1)), np.log(norms[:, :, 0]), 0)
+    return fwd, log_c, bwd, log_d
+
+
+def _unchunk(out: np.ndarray, rows: np.ndarray, offset: int) -> np.ndarray:
+    """Copy the step-major ``rows`` (size, R, ..., chunks) into ``out``
+    (R, n, ...): step k of chunk j goes to index offset + j * size + k, as
+    far as ``out`` reaches. Returns ``out``."""
+    body = rows.transpose(1, -1, 0, *range(2, rows.ndim - 1))
+    body = body.reshape(out.shape[0], -1, *out.shape[2:])
+    span = min(out.shape[1] - offset, body.shape[1])
+    out[:, offset : offset + span] = body[:, :span]
+    return out
+
+
+def _log_space_forward(initial: np.ndarray, alpha: np.ndarray, log_w: np.ndarray):
+    """The forward pass one index at a time with every product formed in
+    log space, so that no positive term underflows; ``initial`` is (R, m)
+    and ``log_w`` (R, n, m).
+
+    It serves the lanes whose chunked pass met a forward normalizer of 0.
+    A normalizer that is 0 here too is impossible evidence. Returns the
+    rows, (R, n, m), and the log normalizers, (R, n).
+    """
+    num_lanes, n, m = log_w.shape
+    log_alpha_t = np.log(alpha).swapaxes(-1, -2)
+    fwd = np.empty((num_lanes, n, m))
+    log_c = np.empty((num_lanes, n))
+    row = np.log(initial) + log_w[:, 0]
+    for i in range(n):
+        if i:
+            row = _logsumexp(row[:, None, :] + log_alpha_t) + log_w[:, i]
+        total = _logsumexp(row)
+        if not (total > -np.inf).all():
+            raise EvidenceImpossibleError(f"impossible evidence at index {i}")
+        row -= total[:, None]
+        fwd[:, i] = np.exp(row)
+        log_c[:, i] = total
+    return fwd, log_c
+
+
+def _log_space_backward(alpha: np.ndarray, log_w: np.ndarray):
+    """The backward pass one index at a time with every product formed in
+    log space; ``log_w`` is (R, n, m).
+
+    It serves the lanes whose chunked pass met a backward normalizer of 0.
+    The forward pass found the evidence positive, so no row here is 0 in
+    every state. Returns the rows, (R, n, m), and the log normalizers,
+    (R, n - 1).
+    """
+    num_lanes, n, m = log_w.shape
+    log_alpha = np.log(alpha)
+    bwd = np.ones((num_lanes, n, m))
+    log_d = np.empty((num_lanes, n - 1))
+    row = np.zeros((num_lanes, m))
+    for i in range(n - 2, -1, -1):
+        row = _logsumexp(log_alpha + (log_w[:, i + 1] + row)[:, None, :])
+        top = row.max(axis=-1)
+        row -= top[:, None]
+        bwd[:, i] = np.exp(row)
+        log_d[:, i] = top
     return bwd, log_d
+
+
+def _logsumexp(z: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis, -inf where every term is -inf."""
+    top = z.max(axis=-1, keepdims=True)
+    top[top == -np.inf] = 0.0
+    return np.log(np.exp(z - top).sum(axis=-1)) + top[..., 0]
 
 
 def _normalized_product(a: np.ndarray, b: np.ndarray, refuse) -> np.ndarray:

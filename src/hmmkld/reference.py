@@ -121,8 +121,8 @@ def kld_influence_naive(model: HmmModel, obs: ObservationSequence) -> InfluenceP
     for i in range(n - 2, -1, -1):
         weighted = state * w[i + 1]
         weighted[i + 1] = state[i + 1]
-        # Each row peaks at 1 before the matmul, as in the rescaled fast pass;
-        # a row of zeros turns into NaN here and fails the test below.
+        # Each row peaks at 1 before the matmul; a row of zeros turns into
+        # NaN here and fails the test below.
         with np.errstate(invalid="ignore"):
             state = (weighted / weighted.max(axis=1, keepdims=True)) @ alpha.T
         tops = state.max(axis=1)

@@ -14,7 +14,7 @@ BELOW_DOUBLE_RANGE = HmmModel(
 
 # Evidence 1e-600 on the symbols 1 1 1, all of it on state 0. The plain
 # backward pass gives the row [0, 1] at index 0: state 0's entry underflows
-# and state 1's does not, so no normalizer is 0 and the rescaled pass never
+# and state 1's does not, so no normalizer is 0 and the log-space pass never
 # runs, while the forward row there is [1, 0]. The enumeration's K is 0 at
 # every index and window.
 POSTERIOR_ROW_UNDERFLOW = HmmModel(

@@ -645,8 +645,8 @@ class TestModelDocument:
         assert not out.exists()
 
     def test_evidence_below_the_double_range(self, tmp_path):
-        # Evidence 1e-400: the backward pass runs again rescaled, and both
-        # profiles are written.
+        # Evidence 1e-400: the backward pass runs again in log space, and
+        # both profiles are written.
         doc = tmp_path / "model.txt"
         doc.write_text(
             "hmmkld-model v1\nstates 3\ninitial 1.0 0.0 0.0\ntransition\n"

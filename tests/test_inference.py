@@ -25,6 +25,16 @@ from conftest import (
     random_gaussian_model,
 )
 
+# Evidence 1e-400 on the symbols 0 1 0, as for BELOW_DOUBLE_RANGE, but here
+# the forward step at index 1 multiplies two factors of 1e-200 in the only
+# state that has both a way in and weight: (f @ alpha) * w is 0 in every
+# state unless it is formed in log space.
+FORWARD_BELOW_DOUBLE_RANGE = HmmModel(
+    [1.0, 0.0, 0.0],
+    [[1.0, 1e-200, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    DiscreteEmission([[1.0, 0.0, 0.0], [1.0, 1e-200, 0.0], [0.0, 1.0, 0.0]]),
+)
+
 
 class TestForwardBackward:
     def test_single_state_log_evidence(self):
@@ -136,7 +146,7 @@ class TestForwardBackward:
 
     def test_evidence_below_the_double_range_is_finite(self):
         # The plain backward step at index 0 multiplies two factors of
-        # 1e-200 in every state; the rescaled pass recovers the evidence.
+        # 1e-200 in every state; the log-space pass recovers the evidence.
         model, obs = BELOW_DOUBLE_RANGE, ObservationSequence(np.array([0, 1, 0]))
         fb = forward_backward(model, obs)
         assert fb.log_evidence == pytest.approx(2 * np.log(1e-200), abs=1e-9)
@@ -149,42 +159,54 @@ class TestForwardBackward:
             posterior_marginals(fb), enumeration_marginals(model, obs), atol=1e-12
         )
 
+    def test_forward_product_below_the_double_range_is_finite(self):
+        model, obs = FORWARD_BELOW_DOUBLE_RANGE, ObservationSequence(np.array([0, 1, 0]))
+        assert enumeration_log_evidence(model, obs) == pytest.approx(2 * np.log(1e-200))
+        assert forward_backward(model, obs).log_evidence == pytest.approx(
+            enumeration_log_evidence(model, obs), abs=1e-9
+        )
+
     def test_rescaled_lane_leaves_the_other_lanes_alone(self, rng):
-        # Only the lane whose backward pass underflows runs the rescaled
-        # pass; the other lane's rows equal a call on it alone, bit for bit.
-        tiny = BELOW_DOUBLE_RANGE
+        # Only the lanes whose backward or forward pass underflows run it
+        # again in log space; every lane's rows equal a call on it alone,
+        # bit for bit.
+        tiny = (BELOW_DOUBLE_RANGE, FORWARD_BELOW_DOUBLE_RANGE)
         plain = random_discrete_model(rng, 3, 3)
+        models = (plain,) + tiny
         lanes = HmmModel(
-            np.stack([plain.initial, tiny.initial]),
-            np.stack([plain.transition, tiny.transition]),
-            DiscreteEmission(np.stack([plain.emission.table, tiny.emission.table])),
+            np.stack([model.initial for model in models]),
+            np.stack([model.transition for model in models]),
+            DiscreteEmission(np.stack([model.emission.table for model in models])),
         )
         obs = ObservationSequence(np.array([0, 1, 0]))
         both = forward_backward(lanes, obs)
-        for r, model in enumerate((plain, tiny)):
+        for r, model in enumerate(models):
             alone = forward_backward(model, obs)
             for field in ("fwd", "bwd", "log_scale_fwd", "log_scale_bwd"):
                 np.testing.assert_array_equal(getattr(both, field)[r], getattr(alone, field))
             assert both.log_evidence[r] == alone.log_evidence
 
-    def test_backward_underflow_after_rescaling_raises(self):
+    def test_backward_product_below_the_double_range_is_finite(self):
         # The evidence is 0.25e-400 > 0, along states 2, 1, 1. At index 1,
         # state 1's weight (1e-200) times its backward entry (2e-200)
         # underflows, and the only other state there with weight, 2, has
-        # no way in: the step is 0 in every state, rescaled or not.
+        # no way in: the step is 0 in every state unless it is formed in
+        # log space.
         model = HmmModel(
             [0.5, 0.0, 0.5],
             [[1.0, 0.0, 0.0], [1.0, 1e-200, 0.0], [0.5, 0.5, 0.0]],
             DiscreteEmission([[0.0, 0.0, 1.0], [1.0, 1e-200, 0.0], [0.0, 1.0, 0.0]]),
         )
         obs = ObservationSequence(np.array([1, 1, 0]))
-        assert enumeration_log_evidence(model, obs) == pytest.approx(
-            np.log(0.25) + 2 * np.log(1e-200)
+        expected = np.log(0.25) + 2 * np.log(1e-200)
+        assert enumeration_log_evidence(model, obs) == pytest.approx(expected)
+        fb = forward_backward(model, obs)
+        assert fb.log_evidence == pytest.approx(expected, abs=1e-9)
+        for i in range(len(fb)):
+            assert fb.log_evidence_at(i) == pytest.approx(expected, abs=1e-9)
+        np.testing.assert_allclose(
+            posterior_marginals(fb), enumeration_marginals(model, obs), atol=1e-12
         )
-        with pytest.raises(
-            EvidenceImpossibleError, match="backward pass underflowed after index 0"
-        ):
-            forward_backward(model, obs)
 
 
 class TestPosteriorMarginals:

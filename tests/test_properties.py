@@ -7,6 +7,7 @@ the identity, where posterior marginals sit next to 0 and 1.
 """
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -38,6 +39,7 @@ from hmmkld.training import _expected_transition_counts
 from loop_reference import (
     bootstrap_auc_loop,
     em_fit_loop,
+    forward_backward_loop,
     sample_loop,
     transition_counts_loop,
     windowed_influence_loop,
@@ -47,11 +49,12 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def problems(draw, max_n=300, lanes=None):
-    """(model, observations) with m in 1..4 states and n in 1..max_n; with
-    ``lanes`` set, a lane model of that many random lanes."""
+def problems(draw, max_n=300, lanes=None, sizes=None):
+    """(model, observations) with m in 1..4 states and n in 1..max_n, or
+    drawn from ``sizes``; with ``lanes`` set, a lane model of that many
+    random lanes."""
     m = draw(st.integers(1, 4))
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(1, max_n) if sizes is None else sizes)
     stickiness = draw(st.sampled_from([0.0, 0.9, 1.0 - 1e-6, 1.0 - 1e-12]))
     discrete = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -302,6 +305,55 @@ def test_lane_forward_backward_equals_separate_calls(problem):
         for name in ("fwd", "bwd", "log_scale_fwd", "log_scale_bwd", "weight_offsets"):
             np.testing.assert_array_equal(getattr(fb, name)[r], getattr(one, name))
         assert fb.log_evidence[r] == pytest.approx(one.log_evidence, rel=1e-12, abs=0.0)
+
+
+# Lengths around the chunk boundaries of forward_backward, whose n - 1 steps
+# fall into chunks of ceil(sqrt(n - 1)), as well as any length up to 400.
+CHUNK_EDGES = st.integers(1, 20).flatmap(
+    lambda size: st.sampled_from([size * size - 1, size * size, size * size + 1, size * size + 2])
+).filter(lambda n: n >= 1)
+
+
+def assert_same_pass(fb, loop, tol):
+    for name in ("fwd", "bwd", "log_scale_fwd", "log_scale_bwd", "log_evidence"):
+        assert_close_or_equal_inf(
+            np.asarray(getattr(fb, name)), np.asarray(getattr(loop, name)), tol
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        problems(max_n=400, sizes=st.one_of(st.integers(1, 400), CHUNK_EDGES)),
+        st.integers(1, 5).flatmap(
+            lambda lanes: problems(
+                max_n=400, lanes=lanes, sizes=st.one_of(st.integers(1, 400), CHUNK_EDGES)
+            )
+        ),
+        sparse_problems(),
+    )
+)
+def test_chunked_forward_backward_matches_loop(problem):
+    """The chunked pass equals the one-index-per-step loop within 1e-12, and
+    raises exactly where the loop raises, with the same message."""
+    model, obs = problem
+    try:
+        loop = forward_backward_loop(model, obs)
+    except EvidenceImpossibleError as exc:
+        with pytest.raises(EvidenceImpossibleError, match=f"^{re.escape(str(exc))}$"):
+            forward_backward(model, obs)
+        return
+    assert_same_pass(forward_backward(model, obs), loop, 1e-12)
+
+
+def test_chunked_forward_backward_matches_loop_on_a_long_series():
+    model = HmmModel(
+        [0.5, 0.3, 0.2],
+        [[0.9, 0.05, 0.05], [0.1, 0.8, 0.1], [0.05, 0.15, 0.8]],
+        GaussianEmission([-1.0, 0.5, 2.0], [0.7, 0.5, 1.0]),
+    )
+    _, obs = sample(model, 100_000, seed=7)
+    assert_same_pass(forward_backward(model, obs), forward_backward_loop(model, obs), 1e-9)
 
 
 @st.composite
