@@ -218,8 +218,10 @@ def cmd_simulate(args, manifest: _Manifest) -> None:
         done = parse_replicate_records(kept.decode(errors="replace"), source=str(out))
         os.truncate(out, len(kept))
         mode = "a"
-    # Each record is flushed as soon as it is scored, so an interrupted
-    # run leaves every finished replicate for --resume.
+    # Records come one cell at a time, all of a cell's together once the
+    # cell is scored, and are flushed at once: an interrupted run leaves
+    # every finished cell for --resume, which scores the cell that was in
+    # flight again. A cell that gives up writes none of its records.
     with open(out, mode) as fh:
         for key, rep in scored_replicates(cfg, deltas, skip=done):
             fh.write(replicate_record(key, rep))

@@ -43,9 +43,9 @@ class ForwardBackward:
     ``weight_offsets`` the per-index maxima subtracted before
     exponentiation; both are reused by the influence recursions.
 
-    For a lane model every field carries the leading lane axis: ``fwd``
-    is (R, n, m), ``log_scale_fwd`` (R, n) and ``log_evidence`` an array
-    of R values. ``len(fb)`` is n either way.
+    For a lane model, or a stack of series, every field carries the
+    leading lane axis: ``fwd`` is (R, n, m), ``log_scale_fwd`` (R, n) and
+    ``log_evidence`` an array of R values. ``len(fb)`` is n either way.
     """
 
     fwd: np.ndarray
@@ -67,20 +67,29 @@ class ForwardBackward:
         """log sum_s F_i(s) B_i(s), reconstructed from the scaled rows.
 
         Equals ``log_evidence`` for every i; exposed for consistency checks.
+        The evidence is positive, so a sum of 0 is underflow and raises
+        ``EvidenceImpossibleError``, as ``posterior_marginals`` does.
         """
-        total = (self.fwd[..., i, :] * self.bwd[..., i, :]).sum(axis=-1)
-        return np.log(total) + self.log_scale_fwd[..., i] + self.log_scale_bwd[..., i]
+        _, total = _checked_product(
+            self.fwd[..., i, None, :], self.bwd[..., i, None, :], lambda _: _backward_underflow(i)
+        )
+        return np.log(total[..., 0, 0]) + self.log_scale_fwd[..., i] + self.log_scale_bwd[..., i]
 
 
-def forward_backward(model: HmmModel, obs: ObservationSequence) -> ForwardBackward:
+def forward_backward(
+    model: HmmModel, obs: Union[ObservationSequence, np.ndarray]
+) -> ForwardBackward:
     """Run the scaled forward and backward recursions on one sequence.
 
     The recursions run as the chunked pass of the module docstring. A lane
     model runs all of its R lanes in the same numpy steps; a plain model is
-    a batch of one. The chunk length depends on n alone, so every lane's
-    rows are bit-identical to a separate call on that lane alone.
+    a batch of one. ``obs`` may also be an (R, n) array of R series of
+    equal length for a lane model of R lanes, each lane on its own series.
+    The chunk length depends on n alone, so every lane's rows are
+    bit-identical to a separate call on that lane and its series alone.
     """
-    logw = model.log_emission_matrix(obs.values)
+    values = obs.values if isinstance(obs, ObservationSequence) else obs
+    logw = model.log_emission_matrix(values)
     if model.lanes is None:
         logw = logw[None]
     m = model.num_states
@@ -325,16 +334,27 @@ def _logsumexp(z: np.ndarray) -> np.ndarray:
     return np.log(np.exp(z - top).sum(axis=-1)) + top[..., 0]
 
 
-def _normalized_product(a: np.ndarray, b: np.ndarray, refuse) -> np.ndarray:
-    """The rows of ``a * b`` (last axis), each divided by its sum. The first
-    index i along the second-to-last axis whose row sums to 0, in any
-    lane, raises ``refuse(i)``."""
+def _checked_product(a: np.ndarray, b: np.ndarray, refuse) -> tuple:
+    """``a * b`` and its row sums (last axis, kept). The first index i along
+    the second-to-last axis whose row sums to 0, in any lane, raises
+    ``refuse(i)``."""
     prod = a * b
     total = prod.sum(axis=-1, keepdims=True)
     zero = (total == 0.0).reshape(-1, total.shape[-2]).any(axis=0)
     if zero.any():
         raise refuse(int(np.argmax(zero)))
+    return prod, total
+
+
+def _normalized_product(a: np.ndarray, b: np.ndarray, refuse) -> np.ndarray:
+    """The rows of ``a * b`` (last axis), each divided by its sum; a row
+    that sums to 0 raises as in ``_checked_product``."""
+    prod, total = _checked_product(a, b, refuse)
     return prod / total
+
+
+def _backward_underflow(i: int) -> EvidenceImpossibleError:
+    return EvidenceImpossibleError(f"the backward pass underflowed at index {i}")
 
 
 def posterior_marginals(fb: ForwardBackward) -> np.ndarray:
@@ -343,7 +363,4 @@ def posterior_marginals(fb: ForwardBackward) -> np.ndarray:
     The evidence is positive, so a row that sums to 0 is underflow and
     raises ``EvidenceImpossibleError``.
     """
-    message = "the backward pass underflowed at index {}"
-    return _normalized_product(
-        fb.fwd, fb.bwd, lambda i: EvidenceImpossibleError(message.format(i))
-    )
+    return _normalized_product(fb.fwd, fb.bwd, _backward_underflow)

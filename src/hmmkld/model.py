@@ -96,8 +96,16 @@ class DiscreteEmission:
                 f"symbol out of range [0, {self.num_symbols}): "
                 f"{symbols[(symbols < 0) | (symbols >= self.num_symbols)][0]}"
             )
+        if symbols.ndim == 1:
+            rows = self.table[..., symbols]
+        else:
+            # One series per lane: row s of lane r's table, which starts at
+            # (r * m + s) * k in the flat table, reads lane r's symbols.
+            lanes, m, k = self.table.shape
+            starts = (np.arange(lanes * m) * k).reshape(lanes, m, 1)
+            rows = self.table.reshape(-1)[starts + symbols[:, None, :]]
         with np.errstate(divide="ignore"):
-            return np.log(self.table[..., symbols].swapaxes(-1, -2))
+            return np.log(rows.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -146,7 +154,7 @@ class GaussianEmission:
 
     def log_density_matrix(self, values: np.ndarray) -> np.ndarray:
         x = np.asarray(values, dtype=float)
-        z = (x[:, None] - self.means[..., None, :]) / self.sigmas[..., None, :]
+        z = (x[..., None] - self.means[..., None, :]) / self.sigmas[..., None, :]
         return -0.5 * z * z - np.log(self.sigmas)[..., None, :] - _LOG_SQRT_2PI
 
 
@@ -190,8 +198,15 @@ class HmmModel:
 
     def log_emission_matrix(self, values) -> np.ndarray:
         """Per-observation, per-state log emission weights: shape (n, m),
-        or (R, n, m) for a lane model."""
-        return self.emission.log_density_matrix(np.asarray(values))
+        or (R, n, m) for a lane model.
+
+        ``values`` is one series of n values, or for a lane model of R
+        lanes an (R, n) stack of series, one per lane.
+        """
+        values = np.asarray(values)
+        if values.ndim > 1 and values.shape[:-1] != (self.lanes,):
+            raise ModelError(f"a stack of shape {values.shape} needs one model lane per series")
+        return self.emission.log_density_matrix(values)
 
 
 @dataclass(frozen=True)

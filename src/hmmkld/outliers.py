@@ -17,7 +17,7 @@ import numpy as np
 
 from .influence import kld_influence
 from .model import ModelError, ObservationSequence, check_count
-from .training import DegenerateFitError, EmConfig, em_fit, kmeans_1d
+from .training import DegenerateFitError, EmConfig, _fit_stack, kmeans_1d
 
 LOF_R_RANGE = (10, 20)
 # The per-replicate EM fit and the z-score clustering both use this many
@@ -212,36 +212,70 @@ def detector_config(num_states: int, restarts: int, seed: int) -> EmConfig:
 def simulate(cfg: SimulationConfig, delta: Optional[float], replicate: int) -> ScoredReplicate:
     """Score one replicate: under H0 when ``delta`` is None, else under H1
     with contamination noise of standard deviation ``delta``. Its RNG
-    stream derives from (seed, hypothesis, index, attempt)."""
+    stream derives from (seed, hypothesis, index, attempt). It is scored
+    as a cell of one replicate, as ``scored_replicates`` scores a cell."""
     if delta is not None:
         check_deltas("delta", [delta])
     check_count("replicate", replicate, least=0)
-    attempt = 0
-    while True:
-        key = (0 if delta is None else 1, replicate, attempt)
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=key))
-        values, positions = _draw_series(cfg, delta, rng)
-        obs = ObservationSequence(values)
-        try:
-            fit = em_fit(obs, detector_config(NUM_STATES, cfg.em_restarts, int(rng.integers(2**63))))
-        except DegenerateFitError:
-            # Flag and redraw the replicate from a fresh derived stream.
-            attempt += 1
-            if attempt > 20:
-                raise
-            continue
-        profile = kld_influence(fit.model, obs)
+    (rep,) = _score_cell(cfg, delta, [replicate])
+    return rep
+
+
+def _score_cell(
+    cfg: SimulationConfig, delta: Optional[float], replicates: Sequence[int]
+) -> List[ScoredReplicate]:
+    """Score the given replicates of the cell of ``delta``, in their order.
+
+    Each replicate draws its series and EM seed from the stream of its own
+    key, and then one lock-step EM fits every drawn series. A replicate
+    whose fit is degenerate (every restart collapsed) is drawn again from
+    the stream of its next attempt, and those redraws are fitted together
+    in a follow-up batch; after 20 redraws of one replicate the cell
+    raises ``DegenerateFitError``. Each replicate's z-scores then
+    continue its own stream, so every record equals that of a cell of
+    that replicate alone. Memory grows with len(replicates) * em_restarts.
+    """
+    hypothesis = 0 if delta is None else 1
+    attempts = dict.fromkeys(replicates, 0)
+    fitted = {}
+    pending = list(replicates)
+    while pending:
+        draws = []
+        for q in pending:
+            key = (hypothesis, q, attempts[q])
+            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=key))
+            values, positions = _draw_series(cfg, delta, rng)
+            em = detector_config(NUM_STATES, cfg.em_restarts, int(rng.integers(2**63)))
+            draws.append((q, rng, values, positions, em))
+        fits = _fit_stack(np.stack([d[2] for d in draws]), [d[4] for d in draws])
+        pending = []
+        for (q, rng, values, positions, _), fit in zip(draws, fits):
+            if fit is not None:
+                fitted[q] = (rng, values, positions, fit)
+                continue
+            attempts[q] += 1
+            if attempts[q] > 20:
+                raise DegenerateFitError("all EM restarts were degenerate")
+            pending.append(q)
+
+    scored = []
+    for q in replicates:
+        rng, values, positions, fit = fitted[q]
+        profile = kld_influence(fit.model, ObservationSequence(values))
         zres = z_value_scores(values, k=NUM_STATES, seed=rng)
         lres = lof_statistic(values)
-        return ScoredReplicate(
-            t_kld=float(np.max(profile.k)),
-            s_z=zres.statistic,
-            l_lof=lres.statistic,
-            outlier_positions=positions,
-            resampled=attempt,
-            z_degenerate=zres.degenerate,
-            lof_clipped=lres.clipped,
+        scored.append(
+            ScoredReplicate(
+                t_kld=float(np.max(profile.k)),
+                s_z=zres.statistic,
+                l_lof=lres.statistic,
+                outlier_positions=positions,
+                resampled=attempts[q],
+                z_degenerate=zres.degenerate,
+                lof_clipped=lres.clipped,
+            )
         )
+    return scored
 
 
 @dataclass(frozen=True)
@@ -337,15 +371,24 @@ def scored_replicates(
 ) -> Iterator[Tuple[ReplicateKey, ScoredReplicate]]:
     """Score every replicate not in ``skip``, in file order: the H0 cell
     once (null replicates do not depend on delta), then one H1 cell per
-    delta, each running indices 0..replicates-1. The deltas are checked
-    now; each replicate is scored when the iterator reaches it."""
+    delta, each running indices 0..replicates-1.
+
+    The deltas are checked now. The iterator scores one cell at a time,
+    all its replicates not in ``skip`` together (see ``_score_cell``), and
+    then yields that cell's records; a cell that gives up yields none. A
+    record equals that of ``simulate`` on its replicate alone.
+    """
     deltas = check_deltas("deltas", deltas)
-    keys = [
-        ("H0" if delta is None else "H1", delta, q)
-        for delta in [None, *deltas]
-        for q in range(cfg.replicates)
-    ]
-    return ((key, simulate(cfg, key[1], key[2])) for key in keys if key not in skip)
+
+    def cells():
+        for delta in [None, *deltas]:
+            hypothesis = "H0" if delta is None else "H1"
+            keys = [(hypothesis, delta, q) for q in range(cfg.replicates)]
+            keys = [key for key in keys if key not in skip]
+            if keys:
+                yield from zip(keys, _score_cell(cfg, delta, [key[2] for key in keys]))
+
+    return cells()
 
 
 def auc_table(

@@ -173,7 +173,8 @@ def _expected_transition_counts(model, fb) -> np.ndarray:
 
 def _m_step(model, obs_values, cfg, counts, weights) -> HmmModel:
     """Re-estimated lane model from each lane's expected transition counts
-    and posterior state marginals; ``model`` gives only the emission kind."""
+    and posterior state marginals; ``model`` gives only the emission kind.
+    ``obs_values`` is one series for every lane, (n,), or one per lane, (R, n)."""
     m = cfg.num_states
     lanes, n = weights.shape[:-1]
     state_weight = weights.sum(axis=-2)
@@ -189,8 +190,8 @@ def _m_step(model, obs_values, cfg, counts, weights) -> HmmModel:
 
     if isinstance(model.emission, GaussianEmission):
         x = obs_values
-        means = weights.swapaxes(-1, -2) @ x / state_weight
-        weighted_sq = weights * (x[:, None] - means[:, None, :]) ** 2
+        means = (weights.swapaxes(-1, -2) @ x[..., None])[..., 0] / state_weight
+        weighted_sq = weights * (x[..., None] - means[:, None, :]) ** 2
         if cfg.homoscedastic:
             var = weighted_sq.reshape(lanes, -1).sum(axis=-1) / n
             sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
@@ -201,7 +202,7 @@ def _m_step(model, obs_values, cfg, counts, weights) -> HmmModel:
         emission = GaussianEmission(means, sigmas)
     else:
         k = model.emission.num_symbols
-        one_hot = obs_values.astype(int)[:, None] == np.arange(k)
+        one_hot = obs_values.astype(int)[..., None] == np.arange(k)
         table = weights.swapaxes(-1, -2) @ one_hot.astype(float)
         table /= table.sum(axis=-1, keepdims=True)
         emission = DiscreteEmission(table)
@@ -226,26 +227,53 @@ def em_fit(obs: ObservationSequence, cfg: EmConfig) -> EmResult:
     lane joins a running batch. The winner is the first restart with the
     highest final log-likelihood.
     """
-    if len(obs) <= cfg.num_states:
-        raise ModelError("need more observations than states")
     x = obs.values.astype(float) if _is_gaussian(obs) else obs.values
+    (result,) = _fit_stack(x[None], [cfg])
+    if result is None:
+        raise DegenerateFitError("all EM restarts were degenerate")
+    return result
+
+
+def _fit_stack(stack: np.ndarray, cfgs) -> list:
+    """``em_fit`` of every series of ``stack`` (S, n) at once: series s
+    under ``cfgs[s]``, which differ from each other in their seed alone.
+
+    The lanes of each round are (series, restart) pairs, each series on
+    its own row of the stack. Every lane's arithmetic is that of a fit of
+    its series alone, so each series gets the ``EmResult`` that ``em_fit``
+    gives it, or None when all its restarts are degenerate.
+    """
+    cfg = cfgs[0]
+    num_series, n = stack.shape
+    if n <= cfg.num_states:
+        raise ModelError("need more observations than states")
+    # A discrete try's emission table spans the symbols up to its series' largest.
+    if not np.issubdtype(stack.dtype, np.floating) and np.ptp(stack.max(axis=1)) > 0:
+        raise ModelError("the discrete series of a stack must share their largest symbol")
     count = cfg.num_restarts
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(count)]
-    traces = [[] for _ in range(count)]  # log-likelihoods of each restart's latest try
-    converged = [False] * count
-    fitted = [None] * count
-    collapses = 0
-    retry = list(range(count))  # restarts whose next try runs in the next round
+    # Lane t runs restart t % count of series t // count.
+    rngs = [
+        np.random.default_rng(s)
+        for series_cfg in cfgs
+        for s in np.random.SeedSequence(series_cfg.seed).spawn(count)
+    ]
+    total = num_series * count
+    traces = [[] for _ in range(total)]  # log-likelihoods of each restart's latest try
+    converged = [False] * total
+    fitted = [None] * total
+    collapses = [0] * num_series
+    retry = list(range(total))  # restarts whose next try runs in the next round
     for _ in range(3):
         lanes, retry = retry, []  # lane j of ``model`` runs restart lanes[j]
         if not lanes:
             break
-        starts = [_initial_model(x, cfg, rngs[r]) for r in lanes]
+        starts = [_initial_model(stack[t // count], cfg, rngs[t]) for t in lanes]
         model = _lane_map(lambda *a: np.stack(a), *starts)
-        for r in lanes:
-            traces[r] = []
+        values = stack[[t // count for t in lanes]]
+        for t in lanes:
+            traces[t] = []
         while lanes:
-            fb = forward_backward(model, obs)
+            fb = forward_backward(model, values)
             weights = posterior_marginals(fb)
             counts = _expected_transition_counts(model, fb)
             # The untied M-step divides a state's transition counts by its
@@ -253,46 +281,56 @@ def em_fit(obs: ObservationSequence, cfg: EmConfig) -> EmResult:
             held = weights if cfg.tie_transitions else weights[..., :-1, :]
             starved = (held.sum(axis=-2) < _DEGENERATE_WEIGHT).any(axis=-1).tolist()
             step = []
-            for j, (r, ll) in enumerate(zip(lanes, fb.log_evidence.tolist())):
-                trace = traces[r]
+            for j, (t, ll) in enumerate(zip(lanes, fb.log_evidence.tolist())):
+                trace = traces[t]
                 trace.append(ll)
                 if len(trace) > 1 and abs(ll - trace[-2]) <= EM_TOL * max(abs(trace[-2]), 1.0):
-                    converged[r] = True
-                    fitted[r] = _lane_map(lambda a: a[j], model)
+                    converged[t] = True
+                    fitted[t] = _lane_map(lambda a: a[j], model)
                 elif starved[j]:
-                    collapses += 1
-                    retry.append(r)
+                    collapses[t // count] += 1
+                    retry.append(t)
                 else:
                     step.append(j)
-            lanes = [lanes[j] for j in step]
+            if len(step) < len(lanes):
+                lanes = [lanes[j] for j in step]
+                values, counts, weights = values[step], counts[step], weights[step]
             if not lanes:
                 break
-            model = _m_step(model, x, cfg, counts[step], weights[step])
+            model = _m_step(model, values, cfg, counts, weights)
             # A lane out of iterations keeps the model of its last M-step.
             keep = []
-            for j, r in enumerate(lanes):
-                if len(traces[r]) < cfg.max_iters:
+            for j, t in enumerate(lanes):
+                if len(traces[t]) < cfg.max_iters:
                     keep.append(j)
                 else:
-                    fitted[r] = _lane_map(lambda a: a[j], model)
+                    fitted[t] = _lane_map(lambda a: a[j], model)
             if len(keep) < len(lanes):
                 lanes = [lanes[j] for j in keep]
+                values = values[keep]
                 model = _lane_map(lambda a: a[keep], model)
 
-    if fitted.count(None) == count:
-        raise DegenerateFitError("all EM restarts were degenerate")
-    finals = [trace[-1] if fit is not None else np.nan for trace, fit in zip(traces, fitted)]
-    best = int(np.nanargmax(finals))
-    return EmResult(
-        model=fitted[best],
-        log_likelihoods=np.array(traces[best]),
-        converged=converged[best],
-        restart_index=best,
-        degenerate_restarts=collapses,
-        restart_final_lls=finals,
-        restart_iterations=[len(trace) for trace in traces],
-        restart_converged=converged,
-    )
+    results = []
+    for s in range(num_series):
+        own = range(s * count, (s + 1) * count)
+        if all(fitted[t] is None for t in own):
+            results.append(None)
+            continue
+        finals = [traces[t][-1] if fitted[t] is not None else np.nan for t in own]
+        best = int(np.nanargmax(finals))
+        results.append(
+            EmResult(
+                model=fitted[own[best]],
+                log_likelihoods=np.array(traces[own[best]]),
+                converged=converged[own[best]],
+                restart_index=best,
+                degenerate_restarts=collapses[s],
+                restart_final_lls=finals,
+                restart_iterations=[len(traces[t]) for t in own],
+                restart_converged=[converged[t] for t in own],
+            )
+        )
+    return results
 
 
 def canonical_state_order(model: HmmModel) -> np.ndarray:

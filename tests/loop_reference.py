@@ -2,7 +2,8 @@
 
 Each function here steps through Python loops the way the library did
 before its forward-backward, sampling, window, transition-count, bootstrap
-and EM computations became whole-array numpy. The property tests require
+and EM computations became whole-array numpy, and before the simulation
+benchmark fitted a cell's replicates together. The property tests require
 the library to match them.
 """
 
@@ -19,10 +20,16 @@ from hmmkld import (
     LeaveOneOutImpossibleError,
     ModelError,
     ObservationSequence,
+    ScoredReplicate,
+    em_fit,
     forward_backward,
     forward_star,
+    kld_influence,
+    lof_statistic,
     posterior_marginals,
+    z_value_scores,
 )
+from hmmkld.outliers import NUM_STATES, detector_config
 from hmmkld.training import (
     EM_TOL,
     SIGMA_FLOOR,
@@ -370,3 +377,41 @@ def em_fit_loop(obs, cfg) -> EmResult:
     best.restart_iterations = iterations
     best.restart_converged = converged
     return best
+
+
+def simulate_loop(cfg, delta, replicate) -> ScoredReplicate:
+    """One replicate scored on its own: its series drawn from the stream of
+    (seed, hypothesis, index, attempt), its own ``em_fit``, and a redraw
+    from the next attempt while the fit is degenerate, at most 20 times."""
+    attempt = 0
+    while True:
+        key = (0 if delta is None else 1, replicate, attempt)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=key))
+        idx = np.sort(rng.choice(cfg.source.size, size=cfg.subsample_size, replace=False))
+        values = cfg.source[idx].copy()
+        positions = []
+        if delta is not None:
+            mask = rng.random(cfg.subsample_size) < cfg.contamination
+            noise = rng.normal(0.0, delta, cfg.subsample_size)
+            values[mask] += noise[mask]
+            positions = np.flatnonzero(mask).tolist()
+        obs = ObservationSequence(values)
+        em = detector_config(NUM_STATES, cfg.em_restarts, int(rng.integers(2**63)))
+        try:
+            fit = em_fit(obs, em)
+        except DegenerateFitError:
+            attempt += 1
+            if attempt > 20:
+                raise
+            continue
+        zres = z_value_scores(values, k=NUM_STATES, seed=rng)
+        lres = lof_statistic(values)
+        return ScoredReplicate(
+            t_kld=float(np.max(kld_influence(fit.model, obs).k)),
+            s_z=zres.statistic,
+            l_lof=lres.statistic,
+            outlier_positions=positions,
+            resampled=attempt,
+            z_degenerate=zres.degenerate,
+            lof_clipped=lres.clipped,
+        )

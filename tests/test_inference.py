@@ -166,6 +166,20 @@ class TestForwardBackward:
             enumeration_log_evidence(model, obs), abs=1e-9
         )
 
+    def test_evidence_at_an_underflowed_row_is_refused(self):
+        # At index 0 the forward row puts all its weight on state 0, whose
+        # backward entry underflowed: the product sums to 0 although the
+        # evidence is positive. log_evidence_at refuses it, as
+        # posterior_marginals does, rather than return log(0).
+        model, obs = FORWARD_BELOW_DOUBLE_RANGE, ObservationSequence(np.array([0, 1, 0]))
+        fb = forward_backward(model, obs)
+        for read in (lambda: fb.log_evidence_at(0), lambda: posterior_marginals(fb)):
+            with pytest.raises(
+                EvidenceImpossibleError, match="the backward pass underflowed at index 0"
+            ):
+                read()
+        assert fb.log_evidence_at(2) == pytest.approx(fb.log_evidence, abs=1e-9)
+
     def test_rescaled_lane_leaves_the_other_lanes_alone(self, rng):
         # Only the lanes whose backward or forward pass underflows run it
         # again in log space; every lane's rows equal a call on it alone,

@@ -157,6 +157,21 @@ class TestLaneModel:
         assert logw.shape == (2, 3, 2)
         np.testing.assert_array_equal(logw[1, 2], np.log(table[1, :, 1]))
 
+    def test_stack_needs_one_lane_per_series(self):
+        model = self.lane_model()
+        stack = np.array([[0.0, 1.0], [4.0, 2.0], [1.0, 1.0]])
+        logw = model.log_emission_matrix(stack)
+        for r in range(3):
+            lane = HmmModel(
+                model.initial[r],
+                model.transition[r],
+                GaussianEmission(model.emission.means[r], model.emission.sigmas[r]),
+            )
+            np.testing.assert_array_equal(logw[r], lane.log_emission_matrix(stack[r]))
+        for bad, owner in ((stack[:2], model), (stack[:1], two_state_discrete())):
+            with pytest.raises(ModelError, match="needs one model lane per series"):
+                owner.log_emission_matrix(bad)
+
     def test_bad_row_names_its_lane(self):
         transition = np.array([[[0.9, 0.1], [0.2, 0.8]], [[0.9, 0.1], [0.3, 0.8]]])
         with pytest.raises(ModelError, match="lane 1: transition row 1 does not sum to 1"):

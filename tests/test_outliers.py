@@ -12,7 +12,6 @@ from hmmkld import (
     ModelError,
     ScoredReplicate,
     SimulationConfig,
-    em_fit,
     empirical_auc,
     lof_scores,
     lof_statistic,
@@ -23,6 +22,9 @@ from hmmkld import (
 )
 from hmmkld import outliers
 from hmmkld.outliers import auc_table, scored_replicates
+from hmmkld.training import _fit_stack
+
+from loop_reference import simulate_loop
 
 
 def reference_lof(points, r):
@@ -313,15 +315,16 @@ class TestSimulate:
         assert first != simulate(cfg, 2.0, 0)
 
     def test_gives_up_after_twenty_redraws(self, collapse_tries, monkeypatch):
+        # A cell of one replicate fits each redraw in its own batch.
         cfg = SimulationConfig(source=synthetic_source(), seed=3, em_restarts=1)
         collapse_tries()
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return em_fit(*args)
+            return _fit_stack(*args)
 
-        monkeypatch.setattr(outliers, "em_fit", counted)
+        monkeypatch.setattr(outliers, "_fit_stack", counted)
         with pytest.raises(DegenerateFitError):
             simulate(cfg, 2.0, 0)
         assert len(calls) == 21
@@ -417,6 +420,36 @@ class TestScoredReplicates:
         assert key == ("H1", 1.0, 1)
         assert rep == simulate(cfg, 1.0, 1)
 
+    def test_collapsed_replicate_is_redrawn_alone(self, collapse_tries):
+        # The first try of every restart is in the cell's first batch, and
+        # only replicate 0's tries collapse: it alone is drawn again, in a
+        # follow-up batch, and its cell-mates keep their records.
+        cfg = SimulationConfig(source=synthetic_source(), replicates=3, seed=3, em_restarts=1)
+        h1 = [("H1", 2.0, q) for q in range(3)]
+        clean = list(scored_replicates(cfg, [2.0], skip=h1))
+        collapse_tries({(0, 0), (0, 1), (0, 2)})
+        redrawn = list(scored_replicates(cfg, [2.0], skip=h1))
+        assert [rep.resampled for _, rep in redrawn] == [1, 0, 0]
+        assert redrawn[1:] == clean[1:]
+        collapse_tries({(0, 0), (0, 1), (0, 2)})
+        assert redrawn[0][1] == simulate_loop(cfg, None, 0)
+
+    def test_cell_that_gives_up_yields_no_record(self, monkeypatch):
+        # Replicate 1 is last in every batch, and its fit is always
+        # degenerate; replicate 0, fitted in the first batch, is not written.
+        cfg = SimulationConfig(source=synthetic_source(), replicates=2, seed=3, em_restarts=1)
+        sizes = []
+
+        def last_degenerate(stack, cfgs):
+            sizes.append(len(stack))
+            return _fit_stack(stack, cfgs)[:-1] + [None]
+
+        monkeypatch.setattr(outliers, "_fit_stack", last_degenerate)
+        scored = scored_replicates(cfg, [2.0])
+        with pytest.raises(DegenerateFitError):
+            next(scored)
+        assert sizes == [2] + [1] * 20
+
     @pytest.mark.parametrize(
         "deltas, message",
         [
@@ -430,7 +463,7 @@ class TestScoredReplicates:
     )
     def test_bad_delta_rejected_before_any_replicate(self, monkeypatch, deltas, message):
         calls = []
-        monkeypatch.setattr(outliers, "simulate", lambda *args: calls.append(args))
+        monkeypatch.setattr(outliers, "_score_cell", lambda *args: calls.append(args))
         cfg = SimulationConfig(source=synthetic_source(), replicates=3, em_restarts=1)
         with pytest.raises(ModelError, match=message):
             scored_replicates(cfg, deltas)

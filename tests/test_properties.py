@@ -1,6 +1,7 @@
 """Property tests: the whole-array code against its loop references and
-the quadratic oracle, sampling against one ``rng.choice`` per draw, lane inference and lock-step EM against one-at-a-time
-runs, and the symmetries of the influence profile.
+the quadratic oracle, sampling against one ``rng.choice`` per draw, lane
+inference, stacked series, lock-step EM and cell-at-a-time simulation
+against one-at-a-time runs, and the symmetries of the influence profile.
 
 Models are drawn at random, including transition matrices within 1e-12 of
 the identity, where posterior marginals sit next to 0 and 1.
@@ -23,6 +24,7 @@ from hmmkld import (
     HmmModel,
     LeaveOneOutImpossibleError,
     ObservationSequence,
+    SimulationConfig,
     em_fit,
     empirical_auc,
     forward_backward,
@@ -33,14 +35,16 @@ from hmmkld import (
     sample,
     windowed_influence,
 )
+from hmmkld.outliers import scored_replicates
 from hmmkld.reference import enumeration_influence, enumeration_log_evidence
-from hmmkld.training import _expected_transition_counts
+from hmmkld.training import _expected_transition_counts, _m_step
 
 from loop_reference import (
     bootstrap_auc_loop,
     em_fit_loop,
     forward_backward_loop,
     sample_loop,
+    simulate_loop,
     transition_counts_loop,
     windowed_influence_loop,
 )
@@ -307,6 +311,64 @@ def test_lane_forward_backward_equals_separate_calls(problem):
         assert fb.log_evidence[r] == pytest.approx(one.log_evidence, rel=1e-12, abs=0.0)
 
 
+@st.composite
+def stacks(draw):
+    """(lane model, stack): a lane model of R lanes from ``problems`` and an
+    (R, n) stack of series, n >= 2, each drawn as ``problems`` draws one."""
+    lanes = draw(st.integers(1, 5))
+    model, obs = draw(problems(lanes=lanes, sizes=st.integers(2, 120)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (lanes - 1, len(obs))
+    if isinstance(model.emission, DiscreteEmission):
+        more = rng.integers(0, 3, shape)
+    else:
+        more = rng.normal(0, 2.5, shape)
+    return model, np.concatenate([obs.values[None], more])
+
+
+def em_step(model, values, cfg):
+    """One EM iteration's forward-backward, posterior marginals, transition
+    counts and M-step: a lane model's lanes each on their own row of the
+    (R, n) ``values``, or a plain model on the series ``values`` as one lane."""
+    fb = forward_backward(model, values if model.lanes else ObservationSequence(values))
+    weights = posterior_marginals(fb)
+    counts = _expected_transition_counts(model, fb)
+    if model.lanes is None:
+        weights, counts = weights[None], counts[None]
+    return fb, weights, counts, _m_step(model, values, cfg, counts, weights)
+
+
+@PROPERTY_SETTINGS
+@given(stacks(), st.booleans(), st.booleans())
+def test_stack_of_series_equals_separate_calls(problem, tied, shared_sigma):
+    model, stack = problem
+    cfg = EmConfig(num_states=model.num_states, tie_transitions=tied, homoscedastic=shared_sigma)
+    separate, failed = [], []
+    for r in range(model.lanes):
+        try:
+            separate.append(em_step(lane(model, r), stack[r], cfg))
+        except (ArithmeticError, ValueError, RuntimeWarning) as exc:
+            failed.append(type(exc))
+    if failed:
+        # A lane that fails alone fails the stack as one of them fails.
+        with pytest.raises(tuple(failed)):
+            em_step(model, stack, cfg)
+        return
+    fb, weights, counts, fitted = em_step(model, stack, cfg)
+    for r, (one, weights_r, counts_r, fitted_r) in enumerate(separate):
+        for name in ("fwd", "bwd", "log_scale_fwd", "log_scale_bwd", "log_weights",
+                     "weight_offsets"):
+            np.testing.assert_array_equal(getattr(fb, name)[r], getattr(one, name))
+        assert fb.log_evidence[r] == one.log_evidence
+        np.testing.assert_array_equal(weights[r], weights_r[0])
+        np.testing.assert_array_equal(counts[r], counts_r[0])
+        for got, want in zip(
+            (fitted.initial, fitted.transition, *vars(fitted.emission).values()),
+            (fitted_r.initial, fitted_r.transition, *vars(fitted_r.emission).values()),
+        ):
+            np.testing.assert_array_equal(got[r], want[0])
+
+
 # Lengths around the chunk boundaries of forward_backward, whose n - 1 steps
 # fall into chunks of ceil(sqrt(n - 1)), as well as any length up to 400.
 CHUNK_EDGES = st.integers(1, 20).flatmap(
@@ -401,3 +463,45 @@ def test_lock_step_em_matches_sequential_restarts(problem):
     np.testing.assert_allclose(
         result.log_likelihoods, expected.log_likelihoods, rtol=1e-9, atol=0.0
     )
+
+
+# The source series of the simulation tests: 106 points of a 3-state chain.
+SIMULATION_SOURCE = sample(
+    HmmModel(
+        [0.4, 0.3, 0.3],
+        [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+        GaussianEmission.homoscedastic([-0.4, 0.1, 0.5], 0.15),
+    ),
+    106,
+    seed=11,
+)[1].values
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=1, max_size=2, unique=True),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(11, 40),
+    st.data(),
+)
+def test_scored_replicates_equal_the_per_replicate_loop(
+    seed, deltas, replicates, restarts, size, data
+):
+    cfg = SimulationConfig(
+        source=SIMULATION_SOURCE,
+        subsample_size=size,
+        contamination=0.2,
+        replicates=replicates,
+        seed=seed,
+        em_restarts=restarts,
+    )
+    keys = [
+        ("H0" if delta is None else "H1", delta, q)
+        for delta in [None, *deltas]
+        for q in range(replicates)
+    ]
+    skip = data.draw(st.sets(st.sampled_from(keys)))
+    expected = [(key, simulate_loop(cfg, key[1], key[2])) for key in keys if key not in skip]
+    assert list(scored_replicates(cfg, deltas, skip=skip)) == expected
