@@ -9,6 +9,7 @@ reproduced exactly from the manifest. Exit codes: 0 success, 2 usage,
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -64,14 +65,13 @@ class _UsageError(Exception):
 
 class _Manifest:
     def __init__(self, args: argparse.Namespace):
-        params = {k: v for k, v in vars(args).items() if k != "func"}
         self.data = {
             "tool": "hmmkld",
             "version": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "subcommand": args.subcommand,
-            "parameters": params,
+            "parameters": dict(vars(args)),
             "timings_s": {},
         }
         self._t0 = time.perf_counter()
@@ -218,15 +218,33 @@ def cmd_simulate(args, manifest: _Manifest) -> None:
         done = parse_replicate_records(kept.decode(errors="replace"), source=str(out))
         os.truncate(out, len(kept))
         mode = "a"
-    # Records come one cell at a time, all of a cell's together once the
+    # Replicates are fitted in bounded batches that may span cells, but
+    # records come one cell at a time, all of a cell's together once the
     # cell is scored, and are flushed at once: an interrupted run leaves
     # every finished cell for --resume, which scores the cell that was in
     # flight again. A cell that gives up writes none of its records.
+    counted = ("scored", "redraws", "z_degenerate", "lof_clipped", "t_kld_nonfinite")
+    cells = {
+        cell: dict.fromkeys(counted, 0)
+        for cell in [("H0", None), *(("H1", delta) for delta in deltas)]
+    }
     with open(out, mode) as fh:
         for key, rep in scored_replicates(cfg, deltas, skip=done):
             fh.write(replicate_record(key, rep))
             fh.flush()
+            counts = cells[key[:2]]
+            counts["scored"] += 1
+            counts["redraws"] += rep.resampled
+            counts["z_degenerate"] += int(rep.z_degenerate)
+            counts["lof_clipped"] += int(rep.lof_clipped)
+            counts["t_kld_nonfinite"] += int(not np.isfinite(rep.t_kld))
     manifest.phase("simulate")
+    # What each cell's records say; a replicate not scored was in the file
+    # that --resume read.
+    manifest.data["cells"] = [
+        {"hypothesis": h, "delta": d, "skipped": cfg.replicates - counts["scored"], **counts}
+        for (h, d), counts in cells.items()
+    ]
 
 
 def cmd_evaluate(args, manifest: _Manifest) -> None:
@@ -279,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-model", required=True)
     p.add_argument("--report", help="fit report TSV path")
     p.add_argument("--manifest")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("influence", help="per-observation KL influence profile")
     p.add_argument("model", help="model document path")
@@ -287,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--manifest")
-    p.set_defaults(func=cmd_influence)
 
     p = sub.add_parser("detect", help="flag outlier candidates in a series")
     p.add_argument("data", help="observations CSV")
@@ -300,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--manifest")
-    p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("simulate", help="generate scored benchmark replicates")
     p.add_argument("data", help="source series CSV")
@@ -313,26 +328,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true")
     p.add_argument("--out", required=True, help="scores JSON-lines path")
     p.add_argument("--manifest")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("evaluate", help="AUC table from simulated scores")
     p.add_argument("--scores", required=True, help="JSON-lines from simulate")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="benchmark TSV path")
     p.add_argument("--manifest")
-    p.set_defaults(func=cmd_evaluate)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: a build costs milliseconds, and
+    parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.subcommand == "detect" and args.top_k is None and args.threshold is None:
         args.top_k = 5
     manifest = _Manifest(args)
     try:
-        args.func(args, manifest)
+        # The subcommand's function is looked up now, not when the parser
+        # was built, so a replacement of ``cmd_<name>`` takes effect.
+        globals()[f"cmd_{args.subcommand}"](args, manifest)
         manifest.write(args)
         return EXIT_OK
     except _UsageError as exc:

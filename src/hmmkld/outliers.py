@@ -27,6 +27,9 @@ EM_MAX_ITERS = 300
 CI_LEVEL = 0.95
 # Bootstrap rows whose pair counts are tabulated together in one block.
 PAIR_COUNT_BLOCK = 64
+# Lanes, (series, restart) pairs, of one lock-step EM batch of a simulation
+# run; its memory grows with this bound, not with the number of replicates.
+FIT_LANES = 2000
 
 
 @dataclass(frozen=True)
@@ -170,6 +173,10 @@ class ScoredReplicate:
     lof_clipped: bool = False
 
 
+# A replicate's key: (hypothesis, delta, index), delta None under H0.
+ReplicateKey = Tuple[str, Optional[float], int]
+
+
 def _draw_series(cfg: SimulationConfig, delta: Optional[float], rng):
     idx = np.sort(rng.choice(cfg.source.size, size=cfg.subsample_size, replace=False))
     values = cfg.source[idx].copy()
@@ -213,69 +220,89 @@ def simulate(cfg: SimulationConfig, delta: Optional[float], replicate: int) -> S
     """Score one replicate: under H0 when ``delta`` is None, else under H1
     with contamination noise of standard deviation ``delta``. Its RNG
     stream derives from (seed, hypothesis, index, attempt). It is scored
-    as a cell of one replicate, as ``scored_replicates`` scores a cell."""
+    as a run of one replicate, as ``scored_replicates`` scores a run."""
     if delta is not None:
         check_deltas("delta", [delta])
     check_count("replicate", replicate, least=0)
-    (rep,) = _score_cell(cfg, delta, [replicate])
+    key = ("H0" if delta is None else "H1", delta, replicate)
+    ((_, rep),) = _scored_cells(cfg, [[key]])
     return rep
 
 
-def _score_cell(
-    cfg: SimulationConfig, delta: Optional[float], replicates: Sequence[int]
-) -> List[ScoredReplicate]:
-    """Score the given replicates of the cell of ``delta``, in their order.
+def _scored_cells(
+    cfg: SimulationConfig, cells: Sequence[Sequence[ReplicateKey]]
+) -> Iterator[Tuple[ReplicateKey, ScoredReplicate]]:
+    """Score the replicates named by ``cells``, lists of keys in file order,
+    and yield each cell's records together once all of them are scored.
 
-    Each replicate draws its series and EM seed from the stream of its own
-    key, and then one lock-step EM fits every drawn series. A replicate
-    whose fit is degenerate (every restart collapsed) is drawn again from
-    the stream of its next attempt, and those redraws are fitted together
-    in a follow-up batch; after 20 redraws of one replicate the cell
-    raises ``DegenerateFitError``. Each replicate's z-scores then
-    continue its own stream, so every record equals that of a cell of
-    that replicate alone. Memory grows with len(replicates) * em_restarts.
+    The pending draws are fitted and scored in batches of at most
+    ``FIT_LANES // em_restarts`` series, in file order, so a batch may span
+    cells (see ``_score_batch``). A replicate whose fit is degenerate is
+    drawn again from its next attempt at the head of the next batch; after
+    20 redraws it gives up and raises ``DegenerateFitError``, once every
+    cell before its own has been yielded. Only one batch's fits are held at
+    a time, so memory is bounded by the batch, not by the run.
     """
-    hypothesis = 0 if delta is None else 1
-    attempts = dict.fromkeys(replicates, 0)
-    fitted = {}
-    pending = list(replicates)
+    width = max(1, FIT_LANES // cfg.em_restarts)
+    # Pending (key, attempt) pairs; each batch takes a prefix and puts its
+    # redraws back at the front, so the list stays in file order.
+    pending = [(key, 0) for cell in cells for key in cell]
+    records = {}
+    complete = 0  # cells[:complete] have been yielded
     while pending:
-        draws = []
-        for q in pending:
-            key = (hypothesis, q, attempts[q])
-            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=key))
-            values, positions = _draw_series(cfg, delta, rng)
-            em = detector_config(NUM_STATES, cfg.em_restarts, int(rng.integers(2**63)))
-            draws.append((q, rng, values, positions, em))
-        fits = _fit_stack(np.stack([d[2] for d in draws]), [d[4] for d in draws])
-        pending = []
-        for (q, rng, values, positions, _), fit in zip(draws, fits):
-            if fit is not None:
-                fitted[q] = (rng, values, positions, fit)
-                continue
-            attempts[q] += 1
-            if attempts[q] > 20:
-                raise DegenerateFitError("all EM restarts were degenerate")
-            pending.append(q)
+        batch, pending = pending[:width], pending[width:]
+        redraws = []
+        for (key, attempt), rep in zip(batch, _score_batch(cfg, batch)):
+            if rep is None:
+                redraws.append((key, attempt + 1))
+            else:
+                records[key] = rep
+        pending = redraws + pending
+        while complete < len(cells) and all(key in records for key in cells[complete]):
+            for key in cells[complete]:
+                yield key, records.pop(key)
+            complete += 1
+        if any(attempt > 20 for _, attempt in redraws):
+            raise DegenerateFitError("all EM restarts were degenerate")
 
-    scored = []
-    for q in replicates:
-        rng, values, positions, fit = fitted[q]
+
+def _score_batch(cfg: SimulationConfig, batch) -> List[Optional[ScoredReplicate]]:
+    """The record of each (key, attempt) draw of ``batch``, or None where its
+    fit is degenerate (every restart collapsed).
+
+    A draw takes its series and EM seed from the stream of (seed,
+    hypothesis, index, attempt), and one lock-step EM fits every drawn
+    series. Each fitted replicate's z-scores then continue its own stream,
+    so every record equals that of a run of that replicate alone.
+    """
+    draws = []
+    for key, attempt in batch:
+        stream = (0 if key[1] is None else 1, key[2], attempt)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=stream))
+        values, positions = _draw_series(cfg, key[1], rng)
+        em = detector_config(NUM_STATES, cfg.em_restarts, int(rng.integers(2**63)))
+        draws.append((rng, values, positions, em))
+    fits = _fit_stack(np.stack([d[1] for d in draws]), [d[3] for d in draws])
+    records = []
+    for (_, attempt), (rng, values, positions, _), fit in zip(batch, draws, fits):
+        if fit is None:
+            records.append(None)
+            continue
         profile = kld_influence(fit.model, ObservationSequence(values))
         zres = z_value_scores(values, k=NUM_STATES, seed=rng)
         lres = lof_statistic(values)
-        scored.append(
+        records.append(
             ScoredReplicate(
                 t_kld=float(np.max(profile.k)),
                 s_z=zres.statistic,
                 l_lof=lres.statistic,
                 outlier_positions=positions,
-                resampled=attempts[q],
+                resampled=attempt,
                 z_degenerate=zres.degenerate,
                 lof_clipped=lres.clipped,
             )
         )
-    return scored
+    return records
 
 
 @dataclass(frozen=True)
@@ -360,10 +387,6 @@ class BenchmarkRow:
 # Each detection method and the ScoredReplicate statistic it ranks by.
 METHODS = {"kld": "t_kld", "z": "s_z", "lof": "l_lof"}
 
-# A replicate's key: (hypothesis, delta, index), delta None under H0.
-ReplicateKey = Tuple[str, Optional[float], int]
-
-
 def scored_replicates(
     cfg: SimulationConfig,
     deltas: Sequence[float],
@@ -373,22 +396,20 @@ def scored_replicates(
     once (null replicates do not depend on delta), then one H1 cell per
     delta, each running indices 0..replicates-1.
 
-    The deltas are checked now. The iterator scores one cell at a time,
-    all its replicates not in ``skip`` together (see ``_score_cell``), and
-    then yields that cell's records; a cell that gives up yields none. A
-    record equals that of ``simulate`` on its replicate alone.
+    The deltas are checked now. The iterator fits the replicates in
+    lock-step batches of at most ``FIT_LANES // em_restarts`` series that
+    may span cells (see ``_scored_cells``), and yields a cell's records
+    together as soon as all of them are scored; a cell that gives up yields
+    none, after every cell before it. A record equals that of ``simulate``
+    on its replicate alone.
     """
     deltas = check_deltas("deltas", deltas)
-
-    def cells():
-        for delta in [None, *deltas]:
-            hypothesis = "H0" if delta is None else "H1"
-            keys = [(hypothesis, delta, q) for q in range(cfg.replicates)]
-            keys = [key for key in keys if key not in skip]
-            if keys:
-                yield from zip(keys, _score_cell(cfg, delta, [key[2] for key in keys]))
-
-    return cells()
+    cells = []
+    for delta in [None, *deltas]:
+        hypothesis = "H0" if delta is None else "H1"
+        keys = [(hypothesis, delta, q) for q in range(cfg.replicates)]
+        cells.append([key for key in keys if key not in skip])
+    return _scored_cells(cfg, cells)
 
 
 def auc_table(

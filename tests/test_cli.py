@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hmmkld import GaussianEmission, HmmModel, ModelError, outliers, sample
+import hmmkld
+from hmmkld import GaussianEmission, HmmModel, ModelError, cli, outliers, sample
 from hmmkld.cli import main
 from hmmkld.outliers import SimulationConfig, scored_replicates
 from hmmkld.serialize import dump_model, read_model
@@ -414,6 +418,42 @@ class TestSimulateEvaluate:
         assert main(args + ["--out", str(cut), "--resume"]) == 0
         assert cut.read_bytes() == data
 
+    def test_manifest_summarizes_each_cell(self, tmp_path, series_csv, collapse_tries):
+        # Replicate 0 of H0 is redrawn once; the resumed run finds the H0
+        # cell in the file and scores only the two H1 cells.
+        scores = tmp_path / "scores.jsonl"
+        args = ["simulate", str(series_csv), "--deltas", "1.0,2.0", "--replicates", "3",
+                "--em-restarts", "1", "--seed", "6", "--out", str(scores)]
+        collapse_tries({(0, 0), (0, 1), (0, 2)})
+        assert main(args) == 0
+        records = [json.loads(line) for line in scores.read_text().splitlines()]
+
+        def summary(hypothesis, delta, skipped):
+            own = [r for r in records if (r["hypothesis"], r["delta"]) == (hypothesis, delta)]
+            scored = own[skipped:]
+            return {
+                "hypothesis": hypothesis,
+                "delta": delta,
+                "scored": len(scored),
+                "skipped": skipped,
+                "redraws": sum(r["resampled"] for r in scored),
+                "z_degenerate": sum(r["z_degenerate"] for r in scored),
+                "lof_clipped": sum(r["lof_clipped"] for r in scored),
+                "t_kld_nonfinite": sum(not np.isfinite(r["t_kld"]) for r in scored),
+            }
+
+        def cells():
+            return json.loads(Path(str(scores) + ".manifest.json").read_text())["cells"]
+
+        assert records[0]["resampled"] == 1
+        assert cells() == [summary("H0", None, 0), summary("H1", 1.0, 0), summary("H1", 2.0, 0)]
+        assert cells()[0]["redraws"] == 1
+        whole = scores.read_bytes()
+        scores.write_bytes(b"".join(whole.splitlines(keepends=True)[:3]))
+        assert main(args + ["--resume"]) == 0
+        assert scores.read_bytes() == whole
+        assert cells() == [summary("H0", None, 3), summary("H1", 1.0, 0), summary("H1", 2.0, 0)]
+
     def test_resume_rejects_corrupt_record(self, tmp_path, series_csv):
         scores = tmp_path / "scores.jsonl"
         scores.write_text("not json\n")
@@ -794,3 +834,67 @@ class TestUnreadablePath:
         assert main(["influence", str(model_file), str(tmp_path), "--out", str(out)]) == 3
         assert str(tmp_path) in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestParserReuse:
+    def test_dispatch_finds_a_replaced_command(self, tmp_path, monkeypatch):
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(replicate_line() + "\n" + H1_LINE + "\n")
+        argv = ["evaluate", "--scores", str(scores), "--out", str(tmp_path / "t.tsv")]
+        assert main(argv) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_evaluate", lambda args, manifest: calls.append(args))
+        assert main(argv + ["--seed", "3"]) == 0
+        assert [(args.subcommand, args.seed) for args in calls] == [("evaluate", 3)]
+
+    def test_consecutive_calls_match_fresh_processes(
+        self, tmp_path, series_csv, monkeypatch, capsys
+    ):
+        # Different subcommands and flags, a usage error and a help text, each
+        # run once in a fresh interpreter and then all in this one process.
+        monkeypatch.setenv("COLUMNS", "80")
+        data = str(series_csv)
+        commands = [
+            ["train", data, "--tie-transitions", "--restarts", "2", "--seed", "3",
+             "--out-model", str(tmp_path / "tied.model")],
+            ["detect", data, "--method", "z", "--threshold", "1.5",
+             "--out", str(tmp_path / "z.tsv")],
+            ["train", data, "--restarts", "2", "--out-model", str(tmp_path / "plain.model")],
+            ["detect", data, "--top-k", "2", "--threshold", "1", "--out", str(tmp_path / "x.tsv")],
+            ["simulate", "--help"],
+        ]
+        outputs = ["tied.model", "tied.model.manifest.json", "z.tsv", "z.tsv.manifest.json",
+                   "plain.model", "plain.model.manifest.json"]
+        src = str(Path(hmmkld.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+
+        def written():
+            files = {}
+            for name in outputs:
+                text = (tmp_path / name).read_text()
+                if name.endswith(".json"):
+                    manifest = json.loads(text)
+                    text = (manifest["parameters"], manifest.get("fit"))
+                files[name] = text
+                (tmp_path / name).unlink()
+            return files
+
+        fresh = []
+        for argv in commands:
+            run = subprocess.run([sys.executable, "-m", "hmmkld.cli", *argv],
+                                 capture_output=True, text=True, env=env)
+            fresh.append((run.returncode, run.stdout, run.stderr))
+        fresh_files = written()
+
+        reused = []
+        for argv in commands:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            reused.append((code, out, err))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0]
+        assert written() == fresh_files

@@ -420,23 +420,28 @@ class TestScoredReplicates:
         assert key == ("H1", 1.0, 1)
         assert rep == simulate(cfg, 1.0, 1)
 
-    def test_collapsed_replicate_is_redrawn_alone(self, collapse_tries):
-        # The first try of every restart is in the cell's first batch, and
-        # only replicate 0's tries collapse: it alone is drawn again, in a
-        # follow-up batch, and its cell-mates keep their records.
+    def test_collapsed_replicate_is_redrawn_alone(self, collapse_tries, monkeypatch):
+        # The first try of every restart is in the first batch, and only
+        # replicate 0's tries collapse: it alone is drawn again, at the head
+        # of the next batch, and its cell-mates keep their records, whether
+        # the cell fits in one batch or spans batches of one or two series.
         cfg = SimulationConfig(source=synthetic_source(), replicates=3, seed=3, em_restarts=1)
         h1 = [("H1", 2.0, q) for q in range(3)]
         clean = list(scored_replicates(cfg, [2.0], skip=h1))
-        collapse_tries({(0, 0), (0, 1), (0, 2)})
-        redrawn = list(scored_replicates(cfg, [2.0], skip=h1))
-        assert [rep.resampled for _, rep in redrawn] == [1, 0, 0]
-        assert redrawn[1:] == clean[1:]
+        for lanes in (outliers.FIT_LANES, 1, 2):
+            monkeypatch.setattr(outliers, "FIT_LANES", lanes)
+            collapse_tries({(0, 0), (0, 1), (0, 2)})
+            redrawn = list(scored_replicates(cfg, [2.0], skip=h1))
+            assert [rep.resampled for _, rep in redrawn] == [1, 0, 0]
+            assert redrawn[1:] == clean[1:]
         collapse_tries({(0, 0), (0, 1), (0, 2)})
         assert redrawn[0][1] == simulate_loop(cfg, None, 0)
 
     def test_cell_that_gives_up_yields_no_record(self, monkeypatch):
-        # Replicate 1 is last in every batch, and its fit is always
-        # degenerate; replicate 0, fitted in the first batch, is not written.
+        # One batch fits all four replicates of the run. H1 replicate 1 is
+        # last in every batch, and its fit is always degenerate: the H0 cell
+        # is yielded, and then the raise, with no H1 record, after exactly
+        # 21 attempts of that replicate.
         cfg = SimulationConfig(source=synthetic_source(), replicates=2, seed=3, em_restarts=1)
         sizes = []
 
@@ -445,10 +450,34 @@ class TestScoredReplicates:
             return _fit_stack(stack, cfgs)[:-1] + [None]
 
         monkeypatch.setattr(outliers, "_fit_stack", last_degenerate)
-        scored = scored_replicates(cfg, [2.0])
+        yielded = []
         with pytest.raises(DegenerateFitError):
-            next(scored)
-        assert sizes == [2] + [1] * 20
+            for key, rep in scored_replicates(cfg, [2.0]):
+                yielded.append((key, rep))
+        assert yielded == [(("H0", None, q), simulate_loop(cfg, None, q)) for q in range(2)]
+        assert sizes == [4] + [1] * 20
+
+    def test_memory_does_not_grow_with_replicates(self, monkeypatch):
+        # Four series per batch: the run of 12 H0 replicates takes three
+        # batches, and must peak no higher than the run of 4 (a cell fitted
+        # whole peaked at 1.9 times as high).
+        monkeypatch.setattr(outliers, "FIT_LANES", 4)
+
+        def peak(replicates):
+            cfg = SimulationConfig(
+                source=synthetic_source(), replicates=replicates, seed=7, em_restarts=1
+            )
+            h1 = [("H1", 2.0, q) for q in range(replicates)]
+            tracemalloc.start()
+            try:
+                for _ in scored_replicates(cfg, [2.0], skip=h1):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # leaves out what only a first run allocates
+        assert peak(12) <= 1.2 * peak(4)
 
     @pytest.mark.parametrize(
         "deltas, message",
@@ -463,7 +492,7 @@ class TestScoredReplicates:
     )
     def test_bad_delta_rejected_before_any_replicate(self, monkeypatch, deltas, message):
         calls = []
-        monkeypatch.setattr(outliers, "_score_cell", lambda *args: calls.append(args))
+        monkeypatch.setattr(outliers, "_fit_stack", lambda *args: calls.append(args))
         cfg = SimulationConfig(source=synthetic_source(), replicates=3, em_restarts=1)
         with pytest.raises(ModelError, match=message):
             scored_replicates(cfg, deltas)

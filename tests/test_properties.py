@@ -1,7 +1,7 @@
 """Property tests: the whole-array code against its loop references and
 the quadratic oracle, sampling against one ``rng.choice`` per draw, lane
-inference, stacked series, lock-step EM and cell-at-a-time simulation
-against one-at-a-time runs, and the symmetries of the influence profile.
+inference, stacked series, lock-step EM and batched simulation against
+one-at-a-time runs, and the symmetries of the influence profile.
 
 Models are drawn at random, including transition matrices within 1e-12 of
 the identity, where posterior marginals sit next to 0 and 1.
@@ -10,6 +10,7 @@ the identity, where posterior marginals sit next to 0 and 1.
 import dataclasses
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from hmmkld import (
     sample,
     windowed_influence,
 )
+from hmmkld import outliers
 from hmmkld.outliers import scored_replicates
 from hmmkld.reference import enumeration_influence, enumeration_log_evidence
 from hmmkld.training import _expected_transition_counts, _m_step
@@ -477,18 +479,20 @@ SIMULATION_SOURCE = sample(
 )[1].values
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
     st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=1, max_size=2, unique=True),
     st.integers(1, 3),
     st.integers(1, 3),
     st.integers(11, 40),
+    st.sampled_from([None, 1, 2, 3, 4]),
     st.data(),
 )
 def test_scored_replicates_equal_the_per_replicate_loop(
-    seed, deltas, replicates, restarts, size, data
+    seed, deltas, replicates, restarts, size, per_batch, data
 ):
+    # per_batch: series per lock-step batch, None for the default bound.
     cfg = SimulationConfig(
         source=SIMULATION_SOURCE,
         subsample_size=size,
@@ -504,4 +508,6 @@ def test_scored_replicates_equal_the_per_replicate_loop(
     ]
     skip = data.draw(st.sets(st.sampled_from(keys)))
     expected = [(key, simulate_loop(cfg, key[1], key[2])) for key in keys if key not in skip]
-    assert list(scored_replicates(cfg, deltas, skip=skip)) == expected
+    lanes = outliers.FIT_LANES if per_batch is None else per_batch * restarts
+    with mock.patch.object(outliers, "FIT_LANES", lanes):
+        assert list(scored_replicates(cfg, deltas, skip=skip)) == expected
