@@ -280,9 +280,9 @@ def _score_batch(cfg: SimulationConfig, batch) -> List[Optional[ScoredReplicate]
         stream = (0 if key[1] is None else 1, key[2], attempt)
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=stream))
         values, positions = _draw_series(cfg, key[1], rng)
-        em = detector_config(NUM_STATES, cfg.em_restarts, int(rng.integers(2**63)))
-        draws.append((rng, values, positions, em))
-    fits = _fit_stack(np.stack([d[1] for d in draws]), [d[3] for d in draws])
+        draws.append((rng, values, positions, int(rng.integers(2**63))))
+    em = detector_config(NUM_STATES, cfg.em_restarts, seed=0)  # the draws hold the seeds
+    fits = _fit_stack(np.stack([d[1] for d in draws]), em, [d[3] for d in draws])
     records = []
     for (_, attempt), (rng, values, positions, _), fit in zip(batch, draws, fits):
         if fit is None:

@@ -35,7 +35,7 @@ from .model import (
     ObservationSequence,
     check_count,
 )
-from .outliers import ReplicateKey, ScoredReplicate
+from .outliers import ReplicateKey, ScoredReplicate, check_deltas
 
 MODEL_HEADER = "hmmkld-model v1"
 
@@ -282,8 +282,9 @@ def parse_replicate_records(
     text: str, source: str = "<scores>"
 ) -> Dict[ReplicateKey, ScoredReplicate]:
     """Replicates of a scores file keyed by (hypothesis, delta, replicate),
-    in file order. A line that is not a record, a missing or mistyped field
-    and a repeated key are ``DataFormatError``s naming the line."""
+    in file order. A line that is not a record, a missing or mistyped field,
+    a delta that ``check_deltas`` refuses and a repeated key are
+    ``DataFormatError``s naming the line."""
     records: Dict[ReplicateKey, ScoredReplicate] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -303,7 +304,12 @@ def parse_replicate_records(
         hypothesis, delta = rec["hypothesis"], rec["delta"]
         if (hypothesis == "H0") != (delta is None):
             raise DataFormatError(f"{where}: {hypothesis} record with delta {delta!r}")
-        key = (hypothesis, None if delta is None else float(delta), rec["replicate"])
+        if delta is not None:
+            try:
+                (delta,) = check_deltas("delta", [delta])
+            except ModelError as exc:
+                raise DataFormatError(f"{where}: {exc}")
+        key = (hypothesis, delta, rec["replicate"])
         if key in records:
             raise DataFormatError(f"{where}: repeats replicate {key}")
         fields = {attr: rec[name] for name, (attr, _) in _RECORD_FIELDS.items() if attr}

@@ -220,30 +220,30 @@ def em_fit(obs: ObservationSequence, cfg: EmConfig) -> EmResult:
     The fit runs in at most three rounds. Round t starts try t of every
     restart that has no fit yet from that restart's own stream, and runs
     those tries in lock-step as the lanes of one lane model, so one
-    forward-backward pass per iteration serves every live try. A lane
-    leaves the batch when it converges, reaches ``max_iters`` or collapses
-    (some state gets no posterior weight); a collapsed restart waits for
-    the next round, and after three collapsed tries it is degenerate. No
-    lane joins a running batch. The winner is the first restart with the
-    highest final log-likelihood.
+    forward-backward pass per iteration serves every live try. A round is
+    one loop of at most ``max_iters`` iterations, and no lane joins it once
+    begun. A lane leaves when it converges (keeping that E-step's model) or
+    collapses (some state gets no posterior weight; its restart waits for
+    the next round, and after three collapsed tries it is degenerate). A
+    lane still running when the loop ends keeps its last M-step model. The
+    winner is the first restart with the highest final log-likelihood.
     """
     x = obs.values.astype(float) if _is_gaussian(obs) else obs.values
-    (result,) = _fit_stack(x[None], [cfg])
+    (result,) = _fit_stack(x[None], cfg, [cfg.seed])
     if result is None:
         raise DegenerateFitError("all EM restarts were degenerate")
     return result
 
 
-def _fit_stack(stack: np.ndarray, cfgs) -> list:
+def _fit_stack(stack: np.ndarray, cfg: EmConfig, seeds) -> list:
     """``em_fit`` of every series of ``stack`` (S, n) at once: series s
-    under ``cfgs[s]``, which differ from each other in their seed alone.
+    under ``cfg`` with the seed ``seeds[s]`` (``cfg.seed`` is not read).
 
-    The lanes of each round are (series, restart) pairs, each series on
-    its own row of the stack. Every lane's arithmetic is that of a fit of
-    its series alone, so each series gets the ``EmResult`` that ``em_fit``
-    gives it, or None when all its restarts are degenerate.
+    The lanes of each round (see ``em_fit``) are (series, restart) pairs,
+    each series on its own row of the stack. Every lane's arithmetic is that
+    of a fit of its series alone, so each series gets the ``EmResult`` that
+    ``em_fit`` gives it, or None when all its restarts are degenerate.
     """
-    cfg = cfgs[0]
     num_series, n = stack.shape
     if n <= cfg.num_states:
         raise ModelError("need more observations than states")
@@ -254,8 +254,8 @@ def _fit_stack(stack: np.ndarray, cfgs) -> list:
     # Lane t runs restart t % count of series t // count.
     rngs = [
         np.random.default_rng(s)
-        for series_cfg in cfgs
-        for s in np.random.SeedSequence(series_cfg.seed).spawn(count)
+        for seed in seeds
+        for s in np.random.SeedSequence(seed).spawn(count)
     ]
     total = num_series * count
     traces = [[] for _ in range(total)]  # log-likelihoods of each restart's latest try
@@ -272,7 +272,7 @@ def _fit_stack(stack: np.ndarray, cfgs) -> list:
         values = stack[[t // count for t in lanes]]
         for t in lanes:
             traces[t] = []
-        while lanes:
+        for _ in range(cfg.max_iters):
             fb = forward_backward(model, values)
             weights = posterior_marginals(fb)
             counts = _expected_transition_counts(model, fb)
@@ -298,17 +298,9 @@ def _fit_stack(stack: np.ndarray, cfgs) -> list:
             if not lanes:
                 break
             model = _m_step(model, values, cfg, counts, weights)
-            # A lane out of iterations keeps the model of its last M-step.
-            keep = []
-            for j, t in enumerate(lanes):
-                if len(traces[t]) < cfg.max_iters:
-                    keep.append(j)
-                else:
-                    fitted[t] = _lane_map(lambda a: a[j], model)
-            if len(keep) < len(lanes):
-                lanes = [lanes[j] for j in keep]
-                values = values[keep]
-                model = _lane_map(lambda a: a[keep], model)
+        # Lanes still running reached max_iters: they keep their last M-step model.
+        for j, t in enumerate(lanes):
+            fitted[t] = _lane_map(lambda a: a[j], model)
 
     results = []
     for s in range(num_series):

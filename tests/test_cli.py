@@ -527,8 +527,14 @@ class TestSimulateEvaluate:
             (replicate_line(hypothesis="H1"), "line 2: H1 record with delta None"),
             (H1_LINE + "\n" + replicate_line(), "line 3: repeats replicate ('H0', None, 0)"),
             (H1_LINE + "\n" + H1_LINE[:25], "line 3: invalid JSON"),
+            *(
+                (H1_LINE + "\n" + replicate_line(hypothesis="H1", delta=delta, replicate=1),
+                 f"line 3: delta must be finite and >= 0, got {delta!r}")
+                for delta in (float("nan"), -2.0, float("inf"))
+            ),
         ],
-        ids=["missing-field", "non-object", "null-delta", "duplicate", "cut-line"],
+        ids=["missing-field", "non-object", "null-delta", "duplicate", "cut-line",
+             "nan-delta", "negative-delta", "inf-delta"],
     )
     def test_evaluate_rejects_bad_record(self, tmp_path, capsys, tail, message):
         scores = tmp_path / "scores.jsonl"

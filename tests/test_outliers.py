@@ -320,9 +320,9 @@ class TestSimulate:
         collapse_tries()
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return _fit_stack(*args)
+        def counted(stack, cfg, seeds):
+            calls.append(stack)
+            return _fit_stack(stack, cfg, seeds)
 
         monkeypatch.setattr(outliers, "_fit_stack", counted)
         with pytest.raises(DegenerateFitError):
@@ -445,9 +445,9 @@ class TestScoredReplicates:
         cfg = SimulationConfig(source=synthetic_source(), replicates=2, seed=3, em_restarts=1)
         sizes = []
 
-        def last_degenerate(stack, cfgs):
+        def last_degenerate(stack, cfg, seeds):
             sizes.append(len(stack))
-            return _fit_stack(stack, cfgs)[:-1] + [None]
+            return _fit_stack(stack, cfg, seeds)[:-1] + [None]
 
         monkeypatch.setattr(outliers, "_fit_stack", last_degenerate)
         yielded = []
@@ -492,7 +492,9 @@ class TestScoredReplicates:
     )
     def test_bad_delta_rejected_before_any_replicate(self, monkeypatch, deltas, message):
         calls = []
-        monkeypatch.setattr(outliers, "_fit_stack", lambda *args: calls.append(args))
+        monkeypatch.setattr(
+            outliers, "_fit_stack", lambda stack, cfg, seeds: calls.append(stack)
+        )
         cfg = SimulationConfig(source=synthetic_source(), replicates=3, em_restarts=1)
         with pytest.raises(ModelError, match=message):
             scored_replicates(cfg, deltas)

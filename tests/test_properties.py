@@ -18,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmmkld import (
+    DegenerateFitError,
     DiscreteEmission,
     EmConfig,
+    EmResult,
     EvidenceImpossibleError,
     GaussianEmission,
     HmmModel,
@@ -39,7 +41,7 @@ from hmmkld import (
 from hmmkld import outliers
 from hmmkld.outliers import scored_replicates
 from hmmkld.reference import enumeration_influence, enumeration_log_evidence
-from hmmkld.training import _expected_transition_counts, _m_step
+from hmmkld.training import _expected_transition_counts, _fit_stack, _m_step
 
 from loop_reference import (
     bootstrap_auc_loop,
@@ -422,49 +424,92 @@ def test_chunked_forward_backward_matches_loop_on_a_long_series():
 
 @st.composite
 def em_problems(draw):
-    """(observations, EmConfig) over discrete and Gaussian emissions, tied
-    and untied transitions, shared and per-state sigmas."""
+    """(stack, EmConfig, seeds): 1 to 3 series of one length over discrete
+    and Gaussian emissions, tied and untied transitions, shared and
+    per-state sigmas, with one fit seed per series, ``cfg.seed`` first.
+    Discrete series share their largest symbol, as a stack must."""
     m = draw(st.integers(1, 3))
     n = draw(st.integers(m + 1, 80))
+    count = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
-        values = rng.integers(0, draw(st.integers(2, 4)), n)
+        top = draw(st.integers(1, 3))
+        stack = rng.integers(0, top + 1, (count, n))
+        stack[np.arange(count), rng.integers(0, n, count)] = top
     else:
         centers = rng.normal(0.0, draw(st.sampled_from([0.5, 2.0, 8.0])), m)
-        values = centers[rng.integers(0, m, n)] + rng.normal(0.0, 1.0, n)
+        stack = centers[rng.integers(0, m, (count, n))] + rng.normal(0.0, 1.0, (count, n))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=count, max_size=count))
     cfg = EmConfig(
         num_states=m,
         max_iters=draw(st.integers(1, 80)),
         num_restarts=draw(st.integers(1, 6)),
-        seed=draw(st.integers(0, 2**32 - 1)),
+        seed=seeds[0],
         tie_transitions=draw(st.booleans()),
         homoscedastic=draw(st.booleans()),
     )
-    return ObservationSequence(values), cfg
+    return stack, cfg, seeds
+
+
+def model_arrays(model):
+    """Every parameter array of ``model``, the emission's fields last."""
+    return [model.initial, model.transition] + [
+        getattr(model.emission, f.name) for f in dataclasses.fields(model.emission)
+    ]
 
 
 @PROPERTY_SETTINGS
 @given(em_problems())
 def test_lock_step_em_matches_sequential_restarts(problem):
-    obs, cfg = problem
+    """``em_fit`` of the first series matches the restarts run one after
+    another, winning model included, and ``_fit_stack`` of the whole stack
+    gives each series its own ``em_fit`` bit for bit."""
+    stack, cfg, seeds = problem
+    fits = []  # per series: its EmResult, None if degenerate, or the error raised
+    for row, seed in zip(stack, seeds):
+        try:
+            fits.append(em_fit(ObservationSequence(row), dataclasses.replace(cfg, seed=seed)))
+        except DegenerateFitError:
+            fits.append(None)
+        except (ArithmeticError, ValueError) as exc:
+            fits.append(exc)
+
+    obs = ObservationSequence(stack[0])
     try:
         expected = em_fit_loop(obs, cfg)
     except (ArithmeticError, ValueError) as exc:
         # Degenerate fits and invalid re-estimates fail the same way.
         with pytest.raises(type(exc)):
             em_fit(obs, cfg)
+    else:
+        result = fits[0]
+        assert isinstance(result, EmResult)
+        assert result.restart_index == expected.restart_index
+        assert result.restart_iterations == expected.restart_iterations
+        assert result.restart_converged == expected.restart_converged
+        assert result.degenerate_restarts == expected.degenerate_restarts
+        np.testing.assert_allclose(
+            result.restart_final_lls, expected.restart_final_lls, rtol=1e-9, atol=0.0
+        )
+        np.testing.assert_allclose(
+            result.log_likelihoods, expected.log_likelihoods, rtol=1e-9, atol=0.0
+        )
+        for got, want in zip(model_arrays(result.model), model_arrays(expected.model)):
+            np.testing.assert_allclose(got, want, rtol=1e-7)
+
+    if any(isinstance(fit, Exception) for fit in fits):
+        with pytest.raises((ArithmeticError, ValueError)):
+            _fit_stack(stack, cfg, seeds)
         return
-    result = em_fit(obs, cfg)
-    assert result.restart_index == expected.restart_index
-    assert result.restart_iterations == expected.restart_iterations
-    assert result.restart_converged == expected.restart_converged
-    assert result.degenerate_restarts == expected.degenerate_restarts
-    np.testing.assert_allclose(
-        result.restart_final_lls, expected.restart_final_lls, rtol=1e-9, atol=0.0
-    )
-    np.testing.assert_allclose(
-        result.log_likelihoods, expected.log_likelihoods, rtol=1e-9, atol=0.0
-    )
+    for got, want in zip(_fit_stack(stack, cfg, seeds), fits):
+        if want is None:
+            assert got is None
+            continue
+        for f in dataclasses.fields(EmResult):
+            if f.name != "model":
+                np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
+        for a, b in zip(model_arrays(got.model), model_arrays(want.model)):
+            np.testing.assert_array_equal(a, b)
 
 
 # The source series of the simulation tests: 106 points of a 3-state chain.
