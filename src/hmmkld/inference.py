@@ -18,8 +18,9 @@ recursions run inside every chunk at once. The chunk length depends on n
 alone, so a lane model's lanes each get the arithmetic of a call on that
 lane alone, bit for bit.
 
-A lane whose forward or backward normalizer comes out 0 runs that pass
-again one index at a time with every product formed in log space. No
+A lane whose forward or backward normalizer comes out 0 runs both passes
+again, one index at a time with every product formed in log space, and
+takes all its rows from there, so they never mix the two methods. No
 positive quantity underflows there, so a 0 there is impossible evidence.
 """
 
@@ -105,17 +106,14 @@ def forward_backward(
 
     with np.errstate(divide="ignore", invalid="ignore"):
         fwd, log_c, bwd, log_d = _chunked_pass(initial, alpha, log_w)
-        # A normalizer of 0, or NaN after a 0, marks a lane whose evidence
-        # is impossible or underflowed: the log-space passes decide which,
-        # and replace that lane's rows.
-        stuck = ~(log_c > -np.inf).all(axis=1)
+        # A normalizer of 0, or NaN after a 0, in either direction marks a
+        # lane whose evidence is impossible or underflowed: the log-space
+        # pass decides which, and replaces all of that lane's rows.
+        stuck = ~((log_c > -np.inf).all(axis=1) & (log_d > -np.inf).all(axis=1))
         if stuck.any():
-            fwd[stuck], log_c[stuck] = _log_space_forward(
+            fwd[stuck], log_c[stuck], bwd[stuck], log_d[stuck] = _log_space_pass(
                 initial[stuck], alpha[stuck], log_w[stuck]
             )
-        stuck = ~(log_d > -np.inf).all(axis=1)
-        if stuck.any():
-            bwd[stuck], log_d[stuck] = _log_space_backward(alpha[stuck], log_w[stuck])
 
     # Cumulative log scales as running sums of interleaved terms, which
     # adds them in the order L_i = (L_{i-1} + log c_i) + offset_i.
@@ -278,43 +276,30 @@ def _unchunk(out: np.ndarray, rows: np.ndarray, offset: int) -> np.ndarray:
     return out
 
 
-def _log_space_forward(initial: np.ndarray, alpha: np.ndarray, log_w: np.ndarray):
-    """The forward pass one index at a time with every product formed in
-    log space, so that no positive term underflows; ``initial`` is (R, m)
-    and ``log_w`` (R, n, m).
+def _log_space_pass(initial: np.ndarray, alpha: np.ndarray, log_w: np.ndarray):
+    """The forward and then the backward pass one index at a time with every
+    product formed in log space, so that no positive term underflows;
+    ``initial`` is (R, m) and ``log_w`` (R, n, m).
 
-    It serves the lanes whose chunked pass met a forward normalizer of 0.
-    A normalizer that is 0 here too is impossible evidence. Returns the
-    rows, (R, n, m), and the log normalizers, (R, n).
+    It serves the lanes whose chunked pass met a normalizer of 0. A forward
+    normalizer that is 0 here too is impossible evidence; otherwise no
+    backward row is 0 in every state. Returns ``fwd, log_c, bwd, log_d`` as
+    ``_chunked_pass`` does.
     """
     num_lanes, n, m = log_w.shape
-    log_alpha_t = np.log(alpha).swapaxes(-1, -2)
+    log_alpha = np.log(alpha)
     fwd = np.empty((num_lanes, n, m))
     log_c = np.empty((num_lanes, n))
     row = np.log(initial) + log_w[:, 0]
     for i in range(n):
         if i:
-            row = _logsumexp(row[:, None, :] + log_alpha_t) + log_w[:, i]
+            row = _logsumexp(row[:, None, :] + log_alpha.swapaxes(-1, -2)) + log_w[:, i]
         total = _logsumexp(row)
         if not (total > -np.inf).all():
             raise EvidenceImpossibleError(f"impossible evidence at index {i}")
         row -= total[:, None]
         fwd[:, i] = np.exp(row)
         log_c[:, i] = total
-    return fwd, log_c
-
-
-def _log_space_backward(alpha: np.ndarray, log_w: np.ndarray):
-    """The backward pass one index at a time with every product formed in
-    log space; ``log_w`` is (R, n, m).
-
-    It serves the lanes whose chunked pass met a backward normalizer of 0.
-    The forward pass found the evidence positive, so no row here is 0 in
-    every state. Returns the rows, (R, n, m), and the log normalizers,
-    (R, n - 1).
-    """
-    num_lanes, n, m = log_w.shape
-    log_alpha = np.log(alpha)
     bwd = np.ones((num_lanes, n, m))
     log_d = np.empty((num_lanes, n - 1))
     row = np.zeros((num_lanes, m))
@@ -324,7 +309,7 @@ def _log_space_backward(alpha: np.ndarray, log_w: np.ndarray):
         row -= top[:, None]
         bwd[:, i] = np.exp(row)
         log_d[:, i] = top
-    return bwd, log_d
+    return fwd, log_c, bwd, log_d
 
 
 def _logsumexp(z: np.ndarray) -> np.ndarray:

@@ -167,7 +167,8 @@ class HmmModel:
 
     Every parameter may carry one leading lane axis of length R: lane r is
     then the model (initial[r], transition[r], emission lane r). Inference
-    on a lane model runs all R models over one sequence at once.
+    on a lane model runs all R models at once, over one sequence or over an
+    (R, n) stack of series, lane r on row r.
     """
 
     initial: np.ndarray

@@ -12,6 +12,16 @@ BELOW_DOUBLE_RANGE = HmmModel(
     DiscreteEmission(np.eye(3)),
 )
 
+# Evidence 1e-400 on the symbols 0 1 0, as for BELOW_DOUBLE_RANGE, but here
+# the forward step at index 1 multiplies two factors of 1e-200 in the only
+# state that has both a way in and weight: (f @ alpha) * w is 0 in every
+# state unless it is formed in log space.
+FORWARD_BELOW_DOUBLE_RANGE = HmmModel(
+    [1.0, 0.0, 0.0],
+    [[1.0, 1e-200, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    DiscreteEmission([[1.0, 0.0, 0.0], [1.0, 1e-200, 0.0], [0.0, 1.0, 0.0]]),
+)
+
 # Evidence 1e-600 on the symbols 1 1 1, all of it on state 0. The plain
 # backward pass gives the row [0, 1] at index 0: state 0's entry underflows
 # and state 1's does not, so no normalizer is 0 and the log-space pass never

@@ -15,7 +15,12 @@ from hmmkld.cli import main
 from hmmkld.outliers import SimulationConfig, scored_replicates
 from hmmkld.serialize import dump_model, read_model
 
-from conftest import LEAVE_OUT_UNDERFLOW, POSTERIOR_ROW_UNDERFLOW, WINDOW_START_UNDERFLOW
+from conftest import (
+    FORWARD_BELOW_DOUBLE_RANGE,
+    LEAVE_OUT_UNDERFLOW,
+    POSTERIOR_ROW_UNDERFLOW,
+    WINDOW_START_UNDERFLOW,
+)
 
 
 def replicate_line(drop=None, **changes):
@@ -710,6 +715,22 @@ class TestModelDocument:
         argv = ["influence", str(doc), str(data), "--window", "2", "--out", str(out)]
         assert main(argv) == 0
         assert out.read_text().splitlines()[1:] == ["1\tinf", "2\tinf"]
+
+    @pytest.mark.parametrize(
+        "window, expected", [("1", ["0.0", "inf", "0.0"]), ("2", ["inf", "inf"])]
+    )
+    def test_forward_product_below_the_double_range(self, tmp_path, window, expected):
+        # Evidence 1e-400 whose forward step underflows: both passes run
+        # again in log space, and the enumeration's K is written.
+        doc = tmp_path / "model.txt"
+        doc.write_text(dump_model(FORWARD_BELOW_DOUBLE_RANGE))
+        data = tmp_path / "symbols.csv"
+        data.write_text("0\n1\n0\n")
+        out = tmp_path / "inf.tsv"
+        argv = ["influence", str(doc), str(data), "--window", window, "--out", str(out)]
+        assert main(argv) == 0
+        rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+        assert [row[1] for row in rows] == expected
 
     @pytest.mark.parametrize(
         "model, symbols, window, message",

@@ -10,31 +10,24 @@ from hmmkld import (
     HmmModel,
     ObservationSequence,
     forward_backward,
+    kld_influence,
     posterior_marginals,
+    windowed_influence,
 )
 from hmmkld.reference import (
     chain_marginals,
+    enumeration_influence,
     enumeration_log_evidence,
     enumeration_marginals,
 )
 
 from conftest import (
     BELOW_DOUBLE_RANGE,
+    FORWARD_BELOW_DOUBLE_RANGE,
     POSTERIOR_ROW_UNDERFLOW,
     random_discrete_model,
     random_gaussian_model,
 )
-
-# Evidence 1e-400 on the symbols 0 1 0, as for BELOW_DOUBLE_RANGE, but here
-# the forward step at index 1 multiplies two factors of 1e-200 in the only
-# state that has both a way in and weight: (f @ alpha) * w is 0 in every
-# state unless it is formed in log space.
-FORWARD_BELOW_DOUBLE_RANGE = HmmModel(
-    [1.0, 0.0, 0.0],
-    [[1.0, 1e-200, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-    DiscreteEmission([[1.0, 0.0, 0.0], [1.0, 1e-200, 0.0], [0.0, 1.0, 0.0]]),
-)
-
 
 class TestForwardBackward:
     def test_single_state_log_evidence(self):
@@ -166,24 +159,29 @@ class TestForwardBackward:
             enumeration_log_evidence(model, obs), abs=1e-9
         )
 
-    def test_evidence_at_an_underflowed_row_is_refused(self):
-        # At index 0 the forward row puts all its weight on state 0, whose
-        # backward entry underflowed: the product sums to 0 although the
-        # evidence is positive. log_evidence_at refuses it, as
-        # posterior_marginals does, rather than return log(0).
+    def test_forward_underflow_reruns_both_directions(self):
+        # The forward step at index 1 underflows, so the lane takes its
+        # backward rows from the log-space pass too: the chunked backward
+        # row at index 0 has state 0's entry underflowed, and the product
+        # with the forward row [1, 0, 0] would sum to 0. Every read of the
+        # rows then equals the enumeration.
         model, obs = FORWARD_BELOW_DOUBLE_RANGE, ObservationSequence(np.array([0, 1, 0]))
         fb = forward_backward(model, obs)
-        for read in (lambda: fb.log_evidence_at(0), lambda: posterior_marginals(fb)):
-            with pytest.raises(
-                EvidenceImpossibleError, match="the backward pass underflowed at index 0"
-            ):
-                read()
-        assert fb.log_evidence_at(2) == pytest.approx(fb.log_evidence, abs=1e-9)
+        expected = enumeration_log_evidence(model, obs)
+        for i in range(len(fb)):
+            assert fb.log_evidence_at(i) == pytest.approx(expected, abs=1e-9)
+        np.testing.assert_allclose(
+            posterior_marginals(fb), enumeration_marginals(model, obs), atol=1e-9
+        )
+        for h, k in ((1, [0.0, np.inf, 0.0]), (2, [np.inf, np.inf]), (3, [np.inf])):
+            np.testing.assert_array_equal(enumeration_influence(model, obs, window=h), k)
+            fast = kld_influence(model, obs) if h == 1 else windowed_influence(model, obs, h)
+            np.testing.assert_allclose(fast.k, k, atol=1e-9)
 
     def test_rescaled_lane_leaves_the_other_lanes_alone(self, rng):
-        # Only the lanes whose backward or forward pass underflows run it
-        # again in log space; every lane's rows equal a call on it alone,
-        # bit for bit.
+        # Only the lanes whose backward or forward pass underflows run both
+        # passes again in log space; every lane's rows, and so its
+        # marginals, equal a call on it alone, bit for bit.
         tiny = (BELOW_DOUBLE_RANGE, FORWARD_BELOW_DOUBLE_RANGE)
         plain = random_discrete_model(rng, 3, 3)
         models = (plain,) + tiny
@@ -194,11 +192,13 @@ class TestForwardBackward:
         )
         obs = ObservationSequence(np.array([0, 1, 0]))
         both = forward_backward(lanes, obs)
+        marg = posterior_marginals(both)
         for r, model in enumerate(models):
             alone = forward_backward(model, obs)
             for field in ("fwd", "bwd", "log_scale_fwd", "log_scale_bwd"):
                 np.testing.assert_array_equal(getattr(both, field)[r], getattr(alone, field))
             assert both.log_evidence[r] == alone.log_evidence
+            np.testing.assert_array_equal(marg[r], posterior_marginals(alone))
 
     def test_backward_product_below_the_double_range_is_finite(self):
         # The evidence is 0.25e-400 > 0, along states 2, 1, 1. At index 1,

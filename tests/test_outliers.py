@@ -138,6 +138,9 @@ class TestLofStatistic:
         result = lof_statistic(values)
         assert not result.clipped
         assert np.all(result.scores[15:-15] < 1.1)
+        # A constant series has no spread to divide by; its points lie on a
+        # line too, and score as the line's do.
+        np.testing.assert_allclose(lof_statistic(np.ones(53)).scores, result.scores, atol=1e-12)
 
     def test_paper_length_not_clipped(self):
         rng = np.random.default_rng(4)

@@ -19,6 +19,8 @@ from hmmkld import (
     sample,
 )
 
+from hmmkld.training import _fit_stack
+
 from loop_reference import em_fit_loop
 
 
@@ -27,6 +29,11 @@ class TestKmeans1d:
         assign, means = kmeans_1d([0.0, 0.0, 10.0, 10.0], 2, seed=0)
         np.testing.assert_allclose(means, [0.0, 10.0])
         assert assign.tolist() == [0, 0, 1, 1]
+        # The squared gap underflows to 0, so the seeding puts the second
+        # centre on the value not yet used.
+        assign, means = kmeans_1d([0.0, 1e-170], 2, seed=0)
+        np.testing.assert_array_equal(means, [0.0, 1e-170])
+        assert assign.tolist() == [0, 1]
 
     def test_single_cluster_is_mean(self):
         values = [1.0, 2.0, 4.0]
@@ -38,6 +45,12 @@ class TestKmeans1d:
         values = np.concatenate([rng.normal(c, 0.1, 20) for c in (3.0, -2.0, 0.5)])
         _, means = kmeans_1d(values, 3, seed=1)
         assert np.all(np.diff(means) > 0)
+        # The mean of three 0.1s rounds up onto the next value, which empties
+        # a cluster; it is reseeded, and every cluster keeps a point.
+        values = 0.1 + np.spacing(0.1) * np.array([0, 0, 0, 1, 2, 2, 2])
+        assign, means = kmeans_1d(values, 3, seed=0)
+        assert np.all(np.diff(means) > 0)
+        assert np.bincount(assign, minlength=3).all()
 
     def test_recovers_separated_gaussians(self):
         rng = np.random.default_rng(42)
@@ -138,6 +151,10 @@ class TestEmFit:
         np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-12)
         diffs = np.diff(result.log_likelihoods)
         assert np.all(diffs >= -1e-9)
+        # The tables of a stack's lanes span one symbol range.
+        stack = np.array([[0, 1, 2, 1], [0, 1, 1, 0]])
+        with pytest.raises(ModelError, match="must share their largest symbol"):
+            _fit_stack(stack, cfg, [3, 4])
 
     def test_restart_records(self):
         rng = np.random.default_rng(8)
