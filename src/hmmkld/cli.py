@@ -28,6 +28,7 @@ from .outliers import (
     NUM_STATES,
     SimulationConfig,
     auc_table,
+    cell_counts,
     check_deltas,
     detector_config,
     lof_statistic,
@@ -208,14 +209,20 @@ def cmd_simulate(args, manifest: _Manifest) -> None:
     manifest.phase("load")
 
     out = Path(args.out)
+    cells = [("H0", None), *(("H1", delta) for delta in deltas)]
     done = {}
     mode = "w"
     if args.resume and out.exists():
         # A last line without its newline was cut short by an interrupted
-        # run: drop it and score that replicate again.
+        # run: drop it and score that replicate again. A record this run
+        # would not write is refused before the file is touched.
         data = out.read_bytes()
         kept = data[: data.rfind(b"\n") + 1]
-        done = parse_replicate_records(kept.decode(errors="replace"), source=str(out))
+        done = parse_replicate_records(
+            kept.decode(errors="replace"),
+            source=str(out),
+            keys={(h, d, q) for h, d in cells for q in range(cfg.replicates)},
+        )
         os.truncate(out, len(kept))
         mode = "a"
     # Replicates are fitted in bounded batches that may span cells, but
@@ -223,27 +230,17 @@ def cmd_simulate(args, manifest: _Manifest) -> None:
     # cell is scored, and are flushed at once: an interrupted run leaves
     # every finished cell for --resume, which scores the cell that was in
     # flight again. A cell that gives up writes none of its records.
-    counted = ("scored", "redraws", "z_degenerate", "lof_clipped", "t_kld_nonfinite")
-    cells = {
-        cell: dict.fromkeys(counted, 0)
-        for cell in [("H0", None), *(("H1", delta) for delta in deltas)]
-    }
+    written = []
     with open(out, mode) as fh:
         for key, rep in scored_replicates(cfg, deltas, skip=done):
             fh.write(replicate_record(key, rep))
             fh.flush()
-            counts = cells[key[:2]]
-            counts["scored"] += 1
-            counts["redraws"] += rep.resampled
-            counts["z_degenerate"] += int(rep.z_degenerate)
-            counts["lof_clipped"] += int(rep.lof_clipped)
-            counts["t_kld_nonfinite"] += int(not np.isfinite(rep.t_kld))
+            written.append((key, rep))
     manifest.phase("simulate")
-    # What each cell's records say; a replicate not scored was in the file
-    # that --resume read.
+    # A replicate not scored was in the file that --resume read.
     manifest.data["cells"] = [
-        {"hypothesis": h, "delta": d, "skipped": cfg.replicates - counts["scored"], **counts}
-        for (h, d), counts in cells.items()
+        {**counts, "skipped": cfg.replicates - counts["scored"]}
+        for counts in cell_counts(written, cells)
     ]
 
 
@@ -251,6 +248,7 @@ def cmd_evaluate(args, manifest: _Manifest) -> None:
     _config(check_count, name="seed", value=args.seed, least=0)
     text = Path(args.scores).read_text()
     scored = parse_replicate_records(text, source=args.scores)
+    manifest.data["cells"] = cell_counts(scored.items())
     manifest.phase("load")
     header = ["method", "delta", "auc", "ci_lo", "ci_hi", "replicates", "seed"]
     rows = [dataclasses.astuple(row) for row in auc_table(scored, args.seed)]

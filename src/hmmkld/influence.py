@@ -136,9 +136,10 @@ def windowed_influence(
     full hidden sequence collapses to the relative entropy of the two
     sub-chain laws. That is computed by the chain rule: divergence of the
     initial window marginal plus expected divergences of the successive
-    transition kernels, using emission-free backward propagation inside
-    the window. Cost is O(h m^2) per window position; every step below
-    works on all windows at once.
+    transition kernels. One sweep from the window's end to its start
+    builds the emission-free backward vectors and gathers those expected
+    divergences, so cost is O(h m^2) per window position and memory
+    O(n m^2) whatever h is; every step works on all windows at once.
     """
     check_plain(model, "windowed_influence")
     n = len(obs)
@@ -148,27 +149,26 @@ def windowed_influence(
     marg = posterior_marginals(fb)
     alpha = model.transition
     num_windows = n - h + 1
-    # hvec[t, j]: emission-free backward vector at offset t of the window
-    # starting at j, scaled by its max.
-    hvec = np.empty((h, num_windows, model.num_states))
-    hvec[h - 1] = fb.bwd[h - 1 :]
-    for t in range(h - 2, -1, -1):
-        v = hvec[t + 1] @ alpha.T
-        hvec[t] = v / v.max(axis=1, keepdims=True)
-    # Initial marginals of the two sub-chain laws at each window start.
-    m_star = _normalized_product(star.fstar[:num_windows], hvec[0], _leave_out_impossible)
-    k = kl_divergence(m_star, marg[:num_windows])
     # Full-evidence transition kernel into each index i + 1, shared by
     # every window that covers i.
-    kernel_full = _row_normalized(
-        alpha * (fb.scaled_weights() * fb.bwd)[1:, None, :]
-    )
-    for t in range(h - 1):
-        kernel_star = _row_normalized(alpha * hvec[t + 1][:, None, :])
+    kernel_full = _row_normalized(alpha * (fb.scaled_weights() * fb.bwd)[1:, None, :])
+    # At offset t of the window starting at j: hvec[j] is the emission-free
+    # backward vector scaled by its max, and ahead[j, s] the expected
+    # divergence of the window's kernels from t on, given state s at t.
+    hvec = fb.bwd[h - 1 :]
+    ahead = np.zeros((num_windows, model.num_states))
+    for t in range(h - 2, -1, -1):
+        v = hvec @ alpha.T
+        # Rows sum to v; a state with no way on (v = 0) keeps a zero row.
+        kernel_star = alpha * hvec[:, None, :] / np.where(v > 0, v, np.inf)[:, :, None]
         row_kl = kl_divergence(kernel_star, kernel_full[t : t + num_windows])
-        # States the window cannot be in add nothing, even where their
-        # kernel divergence is infinite.
-        terms = np.multiply(m_star, row_kl, out=np.zeros_like(m_star), where=m_star > 0)
-        k += terms.sum(axis=1)
-        m_star = (m_star[:, None, :] @ kernel_star)[:, 0, :]
-    return WindowInfluenceProfile(h=h, k=k)
+        # A move the window's law never takes adds nothing, even where the
+        # divergence ahead of it is infinite; likewise a start state below.
+        ahead = row_kl + np.multiply(
+            kernel_star, ahead[:, None, :], out=np.zeros_like(kernel_star), where=kernel_star > 0
+        ).sum(axis=2)
+        hvec = v / v.max(axis=1, keepdims=True)
+    # Initial marginals of the two sub-chain laws at each window start.
+    m_star = _normalized_product(star.fstar[:num_windows], hvec, _leave_out_impossible)
+    terms = np.multiply(m_star, ahead, out=np.zeros_like(m_star), where=m_star > 0)
+    return WindowInfluenceProfile(h=h, k=kl_divergence(m_star, marg[:num_windows]) + terms.sum(1))

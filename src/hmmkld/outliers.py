@@ -11,7 +11,7 @@ confidence intervals.
 """
 
 from dataclasses import dataclass, field
-from typing import Collection, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -410,6 +410,31 @@ def scored_replicates(
         keys = [(hypothesis, delta, q) for q in range(cfg.replicates)]
         cells.append([key for key in keys if key not in skip])
     return _scored_cells(cfg, cells)
+
+
+# What a manifest counts in each cell's records.
+_CELL_COUNTS = ("scored", "redraws", "z_degenerate", "lof_clipped", "t_kld_nonfinite")
+
+
+def cell_counts(
+    records: Iterable[Tuple[ReplicateKey, ScoredReplicate]],
+    cells: Sequence[Tuple[str, Optional[float]]] = (),
+) -> List[dict]:
+    """One summary per (hypothesis, delta) cell of ``records``: the records
+    ``scored``, their ``redraws`` (the sum of ``resampled``), the
+    ``z_degenerate`` and ``lof_clipped`` counts and ``t_kld_nonfinite``, the
+    records whose ``t_kld`` is not finite. The cells named in ``cells`` come
+    first, even with no record; any other follows in order of its first
+    record."""
+    counts = {cell: dict.fromkeys(_CELL_COUNTS, 0) for cell in cells}
+    for key, rep in records:
+        cell = counts.setdefault(key[:2], dict.fromkeys(_CELL_COUNTS, 0))
+        cell["scored"] += 1
+        cell["redraws"] += rep.resampled
+        cell["z_degenerate"] += int(rep.z_degenerate)
+        cell["lof_clipped"] += int(rep.lof_clipped)
+        cell["t_kld_nonfinite"] += int(not np.isfinite(rep.t_kld))
+    return [{"hypothesis": h, "delta": d, **cell} for (h, d), cell in counts.items()]
 
 
 def auc_table(

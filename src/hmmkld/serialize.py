@@ -22,7 +22,7 @@ round-trip precision so rewriting a parsed document is byte-stable.
 import csv
 import io
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -279,12 +279,12 @@ def replicate_record(key: ReplicateKey, rep: ScoredReplicate) -> str:
 
 
 def parse_replicate_records(
-    text: str, source: str = "<scores>"
+    text: str, source: str = "<scores>", keys: Optional[Container[ReplicateKey]] = None
 ) -> Dict[ReplicateKey, ScoredReplicate]:
     """Replicates of a scores file keyed by (hypothesis, delta, replicate),
     in file order. A line that is not a record, a missing or mistyped field,
-    a delta that ``check_deltas`` refuses and a repeated key are
-    ``DataFormatError``s naming the line."""
+    a delta that ``check_deltas`` refuses, a repeated key and, when ``keys``
+    is given, a key not in it are ``DataFormatError``s naming the line."""
     records: Dict[ReplicateKey, ScoredReplicate] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -312,6 +312,8 @@ def parse_replicate_records(
         key = (hypothesis, delta, rec["replicate"])
         if key in records:
             raise DataFormatError(f"{where}: repeats replicate {key}")
+        if keys is not None and key not in keys:
+            raise DataFormatError(f"{where}: replicate {key} is not one this run writes")
         fields = {attr: rec[name] for name, (attr, _) in _RECORD_FIELDS.items() if attr}
         records[key] = ScoredReplicate(**fields)
     return records

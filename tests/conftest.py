@@ -4,6 +4,13 @@ import pytest
 from hmmkld import DiscreteEmission, GaussianEmission, HmmModel, training
 
 
+# The 3-state chain fitted to the paper's annual series.
+ANNUAL_CHAIN = HmmModel(
+    np.full(3, 1.0 / 3.0),
+    [[0.915, 0.0425, 0.0425], [0.0425, 0.915, 0.0425], [0.0425, 0.0425, 0.915]],
+    GaussianEmission.homoscedastic([-0.372, 0.069, -0.068], 0.114),
+)
+
 # Evidence 1e-400, below the double range, on the symbols 0 1 0. The forward
 # rows rescale at every step and stay positive.
 BELOW_DOUBLE_RANGE = HmmModel(

@@ -458,6 +458,31 @@ class TestSimulateEvaluate:
         assert main(args + ["--resume"]) == 0
         assert scores.read_bytes() == whole
         assert cells() == [summary("H0", None, 3), summary("H1", 1.0, 0), summary("H1", 2.0, 0)]
+        # evaluate counts every record in the file.
+        table = tmp_path / "table.tsv"
+        assert main(["evaluate", "--scores", str(scores), "--out", str(table)]) == 0
+        counted = json.loads(Path(str(table) + ".manifest.json").read_text())["cells"]
+        whole_cells = [summary("H0", None, 0), summary("H1", 1.0, 0), summary("H1", 2.0, 0)]
+        assert counted == [{k: v for k, v in c.items() if k != "skipped"} for c in whole_cells]
+        assert counted[0]["redraws"] == 1
+
+    @pytest.mark.parametrize(
+        "resumed, line",
+        [(["--deltas", "2.0", "--replicates", "1"], 2), (["--deltas", "0.5", "--replicates", "2"], 3)],
+        ids=["replicate-beyond-run", "delta-not-in-run"],
+    )
+    def test_resume_refuses_record_of_another_run(self, tmp_path, series_csv, capsys,
+                                                  resumed, line):
+        scores = tmp_path / "scores.jsonl"
+        args = ["simulate", str(series_csv), "--em-restarts", "1", "--seed", "3",
+                "--out", str(scores)]
+        assert main(args + ["--deltas", "2.0", "--replicates", "2"]) == 0
+        # A cut last line shows that the refusal comes before the truncation.
+        cut = scores.read_bytes()[:-9]
+        scores.write_bytes(cut)
+        assert main(args + resumed + ["--resume"]) == 3
+        assert f"line {line}: replicate " in capsys.readouterr().err
+        assert scores.read_bytes() == cut
 
     def test_resume_rejects_corrupt_record(self, tmp_path, series_csv):
         scores = tmp_path / "scores.jsonl"

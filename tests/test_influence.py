@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hmmkld import (
     kld_influence_naive,
     loo_marginal,
     posterior_marginals,
+    sample,
     windowed_influence,
 )
 from hmmkld.reference import (
@@ -27,6 +29,7 @@ from hmmkld.reference import (
 )
 
 from conftest import (
+    ANNUAL_CHAIN,
     BELOW_DOUBLE_RANGE,
     LEAVE_OUT_UNDERFLOW,
     POSTERIOR_ROW_UNDERFLOW,
@@ -288,6 +291,18 @@ class TestWindowedInfluence:
                 enumeration_influence(model, obs, window=h),
                 atol=1e-10,
             )
+
+    def test_memory_does_not_grow_with_the_window(self):
+        # One sweep holds a single offset's rows, O(n m^2) in all; a store of
+        # every offset, (h, n - h + 1, m), peaks at about 93 MiB here.
+        _, obs = sample(ANNUAL_CHAIN, 4000, seed=7)
+        tracemalloc.start()
+        try:
+            windowed_influence(ANNUAL_CHAIN, obs, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_window_out_of_range(self, rng):
         model = random_gaussian_model(rng, 2)
