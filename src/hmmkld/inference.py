@@ -9,14 +9,15 @@ never overflow the linear-space recursions.
 
 The recursions run as a two-level chunked pass, in O(sqrt(n)) numpy steps
 rather than one step per index and direction, with O(n) work. The n - 1
-steps (index i - 1 to i, and back) are cut into chunks of about sqrt(n)
-steps, and the step matrices of each chunk are multiplied into one
-transfer matrix, all chunks at once. A forward row carried through the
-transfer matrices from the left, and a backward row from the right, give
-each chunk its first forward and last backward row; from those, the plain
-recursions run inside every chunk at once. The chunk length depends on n
-alone, so a lane model's lanes each get the arithmetic of a call on that
-lane alone, bit for bit.
+steps (index i - 1 to i, and back) are cut into chunks of about
+sqrt(n / 4) steps, and the step matrices of each chunk are multiplied into
+one transfer matrix, all chunks at once. One carry loop takes a forward row
+through the transfer matrices from the left and a backward row from the
+right, both in the same numpy steps; that gives each chunk its first
+forward and last backward row, and from those the plain recursions run
+inside every chunk at once. The chunk length depends on n alone, so a lane
+model's lanes each get the arithmetic of a call on that lane alone, bit for
+bit.
 
 A lane whose forward or backward normalizer comes out 0 runs both passes
 again, one index at a time with every product formed in log space, and
@@ -82,10 +83,12 @@ def forward_backward(
 ) -> ForwardBackward:
     """Run the scaled forward and backward recursions on one sequence.
 
-    The recursions run as the chunked pass of the module docstring. A lane
-    model runs all of its R lanes in the same numpy steps; a plain model is
-    a batch of one. ``obs`` may also be an (R, n) array of R series of
-    equal length for a lane model of R lanes, each lane on its own series.
+    The recursions run as the chunked pass of the module docstring: chunks
+    of isqrt((n - 2) // 4) + 1 steps, and one carry loop for both
+    directions. A lane model runs all of its R lanes in the same numpy
+    steps; a plain model is a batch of one. ``obs`` may also be an (R, n)
+    array of R series of equal length for a lane model of R lanes, each
+    lane on its own series.
     The chunk length depends on n alone, so every lane's rows are
     bit-identical to a separate call on that lane and its series alone.
     """
@@ -165,11 +168,14 @@ def _chunked_pass(initial: np.ndarray, alpha: np.ndarray, log_w: np.ndarray):
     # Step i = 1 + j * size + k, for k < size, is M_i = alpha * w_i (the
     # weights scale the columns): f_i is f_{i-1} M_i and b_{i-1} is M_i b_i,
     # each normalized. The last of the `chunks` chunks holds the `last`
-    # steps left over. The arrays below are step-major, with the chunk as
-    # their last axis: each step of every chunk is one matmul per lane,
-    # and the normalizers reduce over an axis that is not the inner one.
+    # steps left over. One carry step serves both directions, so a carry
+    # step costs less than the three loops over a chunk's steps spend per
+    # step of the chunk length, and chunks of about sqrt(n / 4) steps beat
+    # sqrt(n). The arrays below are step-major, with the chunk as their
+    # last axis: each step of every chunk is one matmul per lane, and the
+    # normalizers reduce over an axis that is not the inner one.
     steps = n - 1
-    size = math.isqrt(steps - 1) + 1
+    size = math.isqrt((steps - 1) // 4) + 1
     chunks = -(-steps // size)
     last = steps - (chunks - 1) * size
     weights = np.ones((size, num_lanes, m, chunks))
@@ -177,6 +183,7 @@ def _chunked_pass(initial: np.ndarray, alpha: np.ndarray, log_w: np.ndarray):
     full = (chunks - 1) * size
     by_chunk[:, :-1] = w[:, 1 : 1 + full].reshape(num_lanes, chunks - 1, size, m)
     by_chunk[:, -1, :last] = w[:, 1 + full :]
+    del w
     alpha_t = alpha.swapaxes(-1, -2)
     add, biggest = np.add.reduce, np.maximum.reduce
 
@@ -200,28 +207,43 @@ def _chunked_pass(initial: np.ndarray, alpha: np.ndarray, log_w: np.ndarray):
             )
         biggest(t, 1, None, top, True)
         np.divide(t, top, out=t, where=top > 0.0)
+    del product
     scale = np.log(tops).sum(axis=0).transpose(2, 0, 3, 1)
-    forward = np.ascontiguousarray(transfer.transpose(2, 0, 1, 3))
-    backward = np.ascontiguousarray(transfer.transpose(2, 0, 3, 1))
+    del tops
 
     # Carry a forward row into each chunk from the left and a backward row
     # into each chunk from the right, through the transfer matrices, with
-    # the row scales joined in log space. The carried rows are column
-    # vectors, (R, m, 1) for each chunk.
-    start = np.empty((chunks, num_lanes, m, 1))
-    start[0] = first[..., None]
-    for j in range(chunks - 1):
-        u = np.log(start[j]) + scale[j]
-        u -= biggest(u, -2, None, None, True)
-        np.matmul(forward[j], np.exp(u, out=u), out=start[j + 1])
+    # the row scales joined in log space. Step i carries the forward row
+    # into chunk i + 1 (slot 0) and the backward row into chunk
+    # chunks - 2 - i (slot 1), both as column vectors stacked (2, R, m, 1),
+    # so one log / max / exp and one matmul serve both. The forward row
+    # enters a step as f and the backward row as T b, and a step's matmul
+    # leaves them so for the next. Every operand is contiguous, so each
+    # matrix takes the same BLAS path as it would alone.
+    carry = np.empty((chunks - 1, 2, num_lanes, m, m))
+    carry[:, 0] = transfer[:, :, :-1].transpose(2, 0, 1, 3)
+    carry[:, 1] = transfer[:, :, -2::-1].transpose(2, 0, 3, 1)
+    scales = np.empty((chunks - 1, 2, num_lanes, m, 1))
+    scales[:, 0] = scale[:-1]
+    scales[:, 1] = scale[:0:-1]
+    carried = np.empty((chunks, 2, num_lanes, m, 1))
+    carried[0, 0] = first[..., None]
+    np.matmul(
+        np.ascontiguousarray(transfer[:, :, -1].swapaxes(-1, -2)),
+        np.ones((num_lanes, m, 1)),
+        out=carried[0, 1],
+    )
+    del transfer, flat
+    sent = np.empty((chunks - 1, 2, num_lanes, m, 1))
+    top = np.empty((2, num_lanes, 1, 1))
+    for i in range(chunks - 1):
+        u = np.log(carried[i], out=sent[i])
+        u += scales[i]
+        u -= biggest(u, -2, None, top, True)
+        np.matmul(carry[i], np.exp(u, out=u), out=carried[i + 1])
+    del carry
+    start = carried[:, 0]
     start[1:] /= add(start[1:], -2, None, None, True)
-    end = np.empty((chunks, num_lanes, m, 1))
-    end[-1] = 1.0
-    for j in range(chunks - 1, 0, -1):
-        u = np.log(np.matmul(backward[j], end[j]))
-        u += scale[j]
-        u -= biggest(u, -2, None, None, True)
-        np.exp(u, out=end[j - 1])
 
     # The plain recursions inside every chunk at once, from those rows.
     # Each step works in place on views and calls the ufunc reductions
@@ -250,7 +272,10 @@ def _chunked_pass(initial: np.ndarray, alpha: np.ndarray, log_w: np.ndarray):
     if last < size:
         rows[last, ..., -1] = 1.0
     norms = np.ones((size, num_lanes, 1, chunks))
-    ahead = np.ascontiguousarray(end[..., 0].transpose(1, 2, 0))
+    # The backward row carried into chunk j left step chunks - 2 - j's
+    # exp; the last chunk's is all ones.
+    ahead = np.ones((num_lanes, m, chunks))
+    ahead[..., :-1] = sent[::-1, 1, ..., 0].transpose(1, 2, 0)
     v = np.empty((num_lanes, m, chunks))
     for k in range(size - 1, -1, -1):
         active = chunks if k < last else chunks - 1

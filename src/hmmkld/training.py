@@ -64,10 +64,10 @@ def kmeans_1d(values, k: int, seed) -> tuple:
             members = x[new_assign == c]
             if members.size == 0:
                 # Re-seed an empty cluster at the point farthest from its
-                # current center.
+                # current center, and move every point equal to it along.
                 far = np.argmax(np.abs(x - centers[new_assign]))
                 centers[c] = x[far]
-                new_assign[far] = c
+                new_assign[x == x[far]] = c
             else:
                 centers[c] = members.mean()
         if np.array_equal(new_assign, assign):

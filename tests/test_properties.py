@@ -38,7 +38,7 @@ from hmmkld import (
     sample,
     windowed_influence,
 )
-from hmmkld import outliers
+from hmmkld import inference, outliers
 from hmmkld.outliers import scored_replicates
 from hmmkld.reference import enumeration_influence, enumeration_log_evidence
 from hmmkld.training import _expected_transition_counts, _fit_stack, _m_step
@@ -373,10 +373,25 @@ def test_stack_of_series_equals_separate_calls(problem, tied, shared_sigma):
             np.testing.assert_array_equal(got[r], want[0])
 
 
-# Lengths around the chunk boundaries of forward_backward, whose n - 1 steps
-# fall into chunks of ceil(sqrt(n - 1)), as well as any length up to 400.
-CHUNK_EDGES = st.integers(1, 20).flatmap(
-    lambda size: st.sampled_from([size * size - 1, size * size, size * size + 1, size * size + 2])
+def chunk_edges(s):
+    """Lengths on both sides of n = 4 s^2 + 2, where the chunk length of
+    forward_backward, isqrt((n - 2) // 4) + 1 for its n - 1 steps, becomes
+    s + 1; and around the first length after that whose last chunk is full."""
+    first = 4 * s * s + 2
+    full = -(-(first - 1) // (s + 1)) * (s + 1) + 1
+    return [first - 1, first, full - 1, full, full + 1]
+
+
+# Lengths around the chunk boundaries of forward_backward, as well as any
+# length up to 400: those of the chunk length isqrt((n - 2) // 4) + 1, and
+# those of the earlier length ceil(sqrt(n - 1)), n = s^2 - 1 ... s^2 + 2.
+CHUNK_EDGES = st.one_of(
+    st.integers(0, 10).flatmap(lambda s: st.sampled_from(chunk_edges(s))),
+    st.integers(1, 20).flatmap(
+        lambda size: st.sampled_from(
+            [size * size - 1, size * size, size * size + 1, size * size + 2]
+        )
+    ),
 ).filter(lambda n: n >= 1)
 
 
@@ -420,6 +435,24 @@ def test_chunked_forward_backward_matches_loop_on_a_long_series():
     )
     _, obs = sample(model, 100_000, seed=7)
     assert_same_pass(forward_backward(model, obs), forward_backward_loop(model, obs), 1e-9)
+
+
+def test_carry_joins_the_transfer_rows_in_log_space():
+    # State 0 keeps to itself and weighs e^-50 a step beside state 1, so
+    # within one chunk the rows of a transfer matrix drift more than 1e308
+    # apart in scale. Each row keeps its own scale and the carry joins them
+    # in log space, so no lane needs the log-space pass; one scale per
+    # matrix would underflow state 0's row and fall back to it.
+    model = HmmModel(
+        [1.0, 0.0], [[1.0, 0.0], [0.5, 0.5]], GaussianEmission([0.0, 10.0], [1.0, 1.0])
+    )
+    obs = ObservationSequence(np.full(2000, 10.0))
+    with mock.patch.object(
+        inference, "_log_space_pass", wraps=inference._log_space_pass
+    ) as log_space_pass:
+        fb = forward_backward(model, obs)
+    log_space_pass.assert_not_called()
+    assert_same_pass(fb, forward_backward_loop(model, obs), 1e-12)
 
 
 @st.composite

@@ -45,12 +45,18 @@ class TestKmeans1d:
         values = np.concatenate([rng.normal(c, 0.1, 20) for c in (3.0, -2.0, 0.5)])
         _, means = kmeans_1d(values, 3, seed=1)
         assert np.all(np.diff(means) > 0)
+
+    def test_equal_values_share_a_cluster(self):
         # The mean of three 0.1s rounds up onto the next value, which empties
-        # a cluster; it is reseeded, and every cluster keeps a point.
+        # a cluster. The reseed moves every point equal to the one it picks,
+        # so equal values stay together and every cluster keeps a point. The
+        # means tie: the three 0.1s average to the next value up.
         values = 0.1 + np.spacing(0.1) * np.array([0, 0, 0, 1, 2, 2, 2])
         assign, means = kmeans_1d(values, 3, seed=0)
-        assert np.all(np.diff(means) > 0)
+        for value in np.unique(values):
+            assert np.unique(assign[values == value]).size == 1
         assert np.bincount(assign, minlength=3).all()
+        assert np.all(np.diff(means) >= 0)
 
     def test_recovers_separated_gaussians(self):
         rng = np.random.default_rng(42)
