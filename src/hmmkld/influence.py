@@ -85,20 +85,26 @@ def kl_divergence(p, q):
     """Relative entropy sum p log(p/q) over the last axis of two (..., m) arrays.
 
     0 log(0/q) = 0 and p log(p/0) = +inf; a NaN entry in a row makes that
-    row's result NaN. Returns a float for 1-D input and an array of shape
-    ``p.shape[:-1]`` otherwise.
+    row's result NaN. The rows broadcast against each other, so a q of
+    shape (m,) serves every row of a (k, m) p. Returns a float for 1-D
+    input and an array of the rows' broadcast shape otherwise.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     # log(p) - log(q) rather than log(p/q): the ratio can overflow when q
-    # underflows toward the denormal range. Where p = 0 the term is 0 * q,
-    # which is 0 but keeps a NaN in q.
+    # underflows toward the denormal range. Every term is formed as
+    # p (log p - log q), and then the p = 0 terms, NaN or not, are
+    # overwritten in place with 0 * q: 0, but keeping a NaN in q. Both
+    # steps stay in the block, because 0 * inf warns. (asarray: for two
+    # 0-d inputs the product is a numpy scalar, which has no buffer to
+    # overwrite.)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p == 0.0, 0.0 * q, p * (np.log(p) - np.log(q)))
+        terms = np.asarray(p * (np.log(p) - np.log(q)))
+        np.multiply(0.0, q, out=terms, where=p == 0.0)
     # The divergence is never negative (Gibbs' inequality); a negative sum
     # of nearly cancelling terms is rounding error. NaN passes through.
-    total = np.maximum(terms.sum(axis=-1), 0.0)
-    return float(total) if total.ndim == 0 else total
+    total = np.add.reduce(terms, axis=-1)
+    return max(float(total), 0.0) if total.ndim == 0 else np.maximum(total, 0.0)
 
 
 def kld_influence(model: HmmModel, obs: ObservationSequence) -> InfluenceProfile:

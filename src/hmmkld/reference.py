@@ -1,6 +1,6 @@
 """Reference implementations used as oracles and benchmark baselines.
 
-Two independent routes to the influence vector live here:
+Three independent routes to the influence vector live here:
 
 * an exhaustive enumeration over all m^n hidden sequences (exact, tiny
   inputs only), which validates the collapse of the full-sequence
@@ -8,7 +8,11 @@ Two independent routes to the influence vector live here:
 * a quadratic "naive" engine that re-runs a modified forward-backward
   pass per observation with that observation marginalized out. It is
   vectorized across positions but still does O(n^2 m^2) work, so it also
-  serves as the super-linear baseline for complexity comparisons.
+  serves as the super-linear baseline for complexity comparisons;
+* a log-space engine that keeps every forward and backward row as a
+  logarithm, so that no row, marginal or weight underflows: it gives K
+  where a full marginal is denormal, and +inf only where a state that the
+  leave-out law allows has a true zero probability under full evidence.
 """
 
 import itertools
@@ -135,6 +139,58 @@ def kld_influence_naive(model: HmmModel, obs: ObservationSequence) -> InfluenceP
     loo /= loo.sum(axis=1, keepdims=True)
     k = np.array([kl_divergence(loo[j], marg[j]) for j in range(n)])
     return InfluenceProfile(k=k, loo_marginals=loo, marginals=marg)
+
+
+def _log_sum_exp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log sum exp(a) over ``axis``; a slice of all -inf gives -inf."""
+    top = np.max(a, axis=axis, keepdims=True)
+    top = np.where(np.isneginf(top), 0.0, top)
+    with np.errstate(divide="ignore"):
+        return np.squeeze(np.log(np.sum(np.exp(a - top), axis=axis, keepdims=True)) + top, axis)
+
+
+def kld_influence_log_space(model: HmmModel, obs: ObservationSequence) -> np.ndarray:
+    """Pointwise influence K from log-space recursions, O(n m^2).
+
+    The emission-free ("star") forward and the backward rows are carried
+    as logarithms, each step a log-sum-exp over the previous state, and
+    each row is shifted by its maximum before it is carried on (a constant
+    per row cancels out of both marginals). At each index j the leave-one-out marginal log p is the
+    star-forward plus the backward row, and the full marginal log q that
+    sum plus the log emission weights, each normalized by its own
+    log-sum-exp; K_j = sum p (log p - log q). A term where log p = -inf is
+    0; one where log p > -inf meets log q = -inf is +inf, even where p
+    itself underflows to 0 in double. Shares no code with ``inference``.
+    """
+    check_plain(model, "kld_influence_log_space")
+    logw = model.log_emission_matrix(obs.values)
+    n, m = logw.shape
+    with np.errstate(divide="ignore"):
+        log_initial = np.log(model.initial)
+        log_alpha = np.log(model.transition)
+    log_star = np.empty((n, m))
+    log_star[0] = log_initial
+    for i in range(n):
+        log_fwd = log_star[i] + logw[i]
+        top = log_fwd.max()
+        if top == -np.inf:
+            raise EvidenceImpossibleError(f"impossible evidence at index {i}")
+        if i + 1 < n:
+            log_star[i + 1] = _log_sum_exp((log_fwd - top)[:, None] + log_alpha, 0)
+    # With the evidence positive, every backward row has a finite entry.
+    log_bwd = np.zeros((n, m))
+    for i in range(n - 2, -1, -1):
+        row = _log_sum_exp(log_alpha + (logw[i + 1] + log_bwd[i + 1])[None, :], 1)
+        log_bwd[i] = row - row.max()
+    log_loo = log_star + log_bwd
+    log_full = log_loo + logw
+    log_p = log_loo - _log_sum_exp(log_loo, 1)[:, None]
+    log_q = log_full - _log_sum_exp(log_full, 1)[:, None]
+    with np.errstate(invalid="ignore"):
+        terms = np.exp(log_p) * (log_p - log_q)
+    terms[np.isneginf(log_q)] = np.inf
+    terms[np.isneginf(log_p)] = 0.0
+    return terms.sum(axis=1)
 
 
 def chain_marginals(initial: np.ndarray, transition: np.ndarray, n: int) -> np.ndarray:

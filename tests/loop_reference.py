@@ -190,6 +190,17 @@ def sample_loop(model, n, seed) -> tuple:
     return states, ObservationSequence(values)
 
 
+def kl_divergence_select(p, q):
+    """``kl_divergence`` as it was before it overwrote its p = 0 terms in
+    place: a three-way select, the ``sum`` method and ``np.maximum``."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p == 0.0, 0.0 * q, p * (np.log(p) - np.log(q)))
+    total = np.maximum(terms.sum(axis=-1), 0.0)
+    return float(total) if total.ndim == 0 else total
+
+
 def kl_row(p, q) -> float:
     """sum p log(p/q) over one row, with 0 log(0/q) = 0 and p log(p/0) = +inf."""
     mask = p > 0

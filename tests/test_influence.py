@@ -26,6 +26,7 @@ from hmmkld.reference import (
     chain_marginals,
     enumeration_influence,
     enumeration_marginals,
+    kld_influence_log_space,
 )
 
 from conftest import (
@@ -214,6 +215,52 @@ class TestKldInfluence:
             for b in range(6):
                 assert rows[a, b] == kl_divergence(p[a, b], q[a, b])
         assert isinstance(kl_divergence(p[0, 0], q[0, 0]), float)
+
+    def test_one_q_row_serves_every_p_row(self):
+        # The rows broadcast: a (3, 2) p against a (2,) q gives three values.
+        p = np.array([[0.5, 0.5], [0.0, 1.0], [0.25, 0.75]])
+        q = np.array([0.5, 0.5])
+        rows = kl_divergence(p, q)
+        assert rows.shape == (3,)
+        assert rows[0] == 0.0
+        assert rows[1] == np.log(2.0)
+        assert rows[2] == pytest.approx(0.25 * np.log(0.5) + 0.75 * np.log(1.5), abs=1e-15)
+        for row, expected in zip(p, rows):
+            assert kl_divergence(row, q) == expected
+
+
+class TestLogSpaceReference:
+    @pytest.mark.parametrize("sigma", [0.052, 0.0519, 0.0518, 0.05])
+    def test_one_observation_matches_closed_form(self, sigma):
+        # Two states at -1 and +1, one sigma, y = -1: p is the initial
+        # [1/2, 1/2], the weights differ by delta = 2 / sigma^2, and
+        # K = log((1 + exp(-delta)) / 2) + delta / 2. At these sigmas the
+        # full marginal of the state at +1 is near or below the double range.
+        model = HmmModel(
+            [0.5, 0.5], np.eye(2), GaussianEmission.homoscedastic([-1.0, 1.0], sigma)
+        )
+        delta = 2.0 / sigma**2
+        exact = np.log1p(np.exp(-delta)) - np.log(2.0) + delta / 2.0
+        k = kld_influence_log_space(model, ObservationSequence(np.array([-1.0])))
+        assert k[0] == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    def test_true_zero_weight_is_infinite_where_p_underflows(self):
+        # At index 1 the leave-one-out law puts 1e-600 on state 1, which
+        # underflows in double, and state 1 cannot emit symbol 1: K is +inf.
+        model = HmmModel(
+            [1.0, 1e-300],
+            np.eye(2),
+            DiscreteEmission(np.array([[0.5, 0.5, 0.0], [1e-300, 0.0, 1.0]])),
+        )
+        k = kld_influence_log_space(model, ObservationSequence(np.array([0, 1])))
+        np.testing.assert_array_equal(k, [0.0, np.inf])
+
+    def test_matches_fast_profile_on_a_long_series(self):
+        _, obs = sample(ANNUAL_CHAIN, 2000, seed=5)
+        fast = kld_influence(ANNUAL_CHAIN, obs).k
+        np.testing.assert_allclose(
+            kld_influence_log_space(ANNUAL_CHAIN, obs), fast, rtol=1e-10, atol=1e-12
+        )
 
 
 class TestNaiveEngine:

@@ -31,6 +31,7 @@ from hmmkld import (
     em_fit,
     empirical_auc,
     forward_backward,
+    kl_divergence,
     kld_influence,
     kld_influence_naive,
     posterior_marginals,
@@ -40,13 +41,19 @@ from hmmkld import (
 )
 from hmmkld import inference, outliers
 from hmmkld.outliers import scored_replicates
-from hmmkld.reference import enumeration_influence, enumeration_log_evidence
+from hmmkld.reference import (
+    enumerate_log_joint,
+    enumeration_influence,
+    enumeration_log_evidence,
+    kld_influence_log_space,
+)
 from hmmkld.training import _expected_transition_counts, _fit_stack, _m_step
 
 from loop_reference import (
     bootstrap_auc_loop,
     em_fit_loop,
     forward_backward_loop,
+    kl_divergence_select,
     sample_loop,
     simulate_loop,
     transition_counts_loop,
@@ -237,6 +244,116 @@ def test_no_influence_entry_point_returns_nan(problem, h):
             except (EvidenceImpossibleError, LeaveOneOutImpossibleError):
                 continue
             assert not any(np.isnan(a).any() for a in arrays)
+
+
+def normal_posteriors(model, obs) -> bool:
+    """Whether every hidden sequence's posterior probability, under full
+    evidence and with any one observation left out, is 0 or at least the
+    smallest normal double, so that the enumeration holds no denormal."""
+    _, chain, emit = enumerate_log_joint(model, obs)
+    keep = np.ones(len(obs), dtype=bool)
+    for drop in [None, *range(len(obs))]:
+        keep[:] = True
+        if drop is not None:
+            keep[drop] = False
+        logp = chain + emit[keep].sum(axis=0)
+        logp = logp[np.isfinite(logp)]
+        if np.any(logp - np.logaddexp.reduce(logp) < np.log(np.finfo(float).tiny)):
+            return False
+    return True
+
+
+@PROPERTY_SETTINGS
+@given(problems(sizes=st.integers(1, 6)))
+def test_log_space_reference_matches_enumeration(problem):
+    """Where the enumeration holds no denormal, the log-space K is its value."""
+    model, obs = problem
+    if not normal_posteriors(model, obs):
+        return
+    assert_close_or_equal_inf(
+        kld_influence_log_space(model, obs), enumeration_influence(model, obs), 1e-10
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_problems())
+def test_log_space_reference_is_infinite_where_enumeration_is(problem):
+    """Zero entries give a state true zero probability under full evidence.
+    The log-space K is +inf exactly where the enumeration's is, and raises
+    exactly where the enumeration finds the evidence impossible."""
+    model, obs = problem
+    try:
+        expected = enumeration_influence(model, obs)
+    except EvidenceImpossibleError:
+        with pytest.raises(EvidenceImpossibleError):
+            kld_influence_log_space(model, obs)
+        return
+    assert_close_or_equal_inf(kld_influence_log_space(model, obs), expected, 1e-10)
+
+
+KL_PLANTED = [0.0, -0.0, 5e-324, np.nan, np.inf]
+
+
+@st.composite
+def kl_rows(draw):
+    """(p, q): distributions over m = 1..17 states (numpy sums 8 ways at a
+    time from m = 8 on) in rows of shape (m,), (k, m) or (a, b, m), a p of
+    shape (k, m) against a q of shape (m,), or two 0-d entries, with up to
+    four entries of each set to 0.0, -0.0, 5e-324, NaN or +inf."""
+    m = draw(st.integers(1, 17))
+    lead = draw(st.sampled_from([(), (3,), (2, 3), "broadcast", "0-d"]))
+    p_shape = (4, m) if lead == "broadcast" else (m,) if lead == "0-d" else (*lead, m)
+    q_shape = (m,) if lead == "broadcast" else p_shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p, q = (rng.dirichlet(np.ones(m), size=shape[:-1]) for shape in (p_shape, q_shape))
+    if lead == "0-d":
+        p, q = np.array(p[0]), np.array(q[0])
+    for a in (p, q):
+        for _ in range(draw(st.integers(0, 4))):
+            flat = draw(st.integers(0, a.size - 1))
+            a.flat[flat] = draw(st.sampled_from(KL_PLANTED))
+    return p, q
+
+
+def kl_with_warnings(kl, p, q):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = kl(p, q)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_same_bits(actual, expected):
+    """Same type and shape, NaN at the same places, otherwise equal with
+    the same sign bit (so 0.0 and -0.0 differ)."""
+    assert type(actual) is type(expected)
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(np.isnan(actual), np.isnan(expected))
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+    keep = ~np.isnan(expected)
+    np.testing.assert_array_equal(actual[keep], expected[keep])
+
+
+@settings(max_examples=300, deadline=None)
+@given(kl_rows())
+def test_kl_divergence_equals_the_select_formula(rows):
+    p, q = rows
+    actual, actual_warnings = kl_with_warnings(kl_divergence, p, q)
+    expected, expected_warnings = kl_with_warnings(kl_divergence_select, p, q)
+    assert_same_bits(actual, expected)
+    assert actual_warnings == expected_warnings
+
+
+def test_kl_divergence_warns_as_the_select_formula_on_inf_minus_inf():
+    """A row of +inf and -inf terms sums to NaN, with numpy's invalid-value
+    warning from the reduction on both sides."""
+    p, q = np.array([0.5, 0.5]), np.array([np.inf, 0.0])
+    actual, actual_warnings = kl_with_warnings(kl_divergence, p, q)
+    expected, expected_warnings = kl_with_warnings(kl_divergence_select, p, q)
+    assert_same_bits(actual, expected)
+    assert np.isnan(actual)
+    assert [category for category, _ in actual_warnings] == [RuntimeWarning]
+    assert actual_warnings == expected_warnings
 
 
 @st.composite
