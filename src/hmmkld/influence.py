@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import ForwardBackward, _normalized_product, forward_backward, posterior_marginals
+from .inference import ForwardBackward, _checked_product, _logsumexp, _normalized_product
+from .inference import forward_backward, posterior_marginals
 from .model import HmmModel, ModelError, ObservationSequence, check_count, check_plain
 
 
@@ -125,56 +126,54 @@ def check_window(name: str, h, n: int) -> None:
         raise ModelError(f"{name} must be <= {n}, got {h}")
 
 
-def _row_normalized(mat: np.ndarray) -> np.ndarray:
-    """Rows scaled to sum to one; a row of zeros (a state with no way on)
-    stays zero, so that a zero weight on it cannot turn into NaN."""
-    total = mat.sum(axis=-1, keepdims=True)
-    return np.divide(mat, total, out=np.zeros_like(mat), where=total > 0)
-
-
 def windowed_influence(
     model: HmmModel, obs: ObservationSequence, h: int
 ) -> WindowInfluenceProfile:
     """Influence of each window of h consecutive observations.
 
-    Removing a window of observations leaves the hidden sub-chain over the
-    window Markov under both posteriors, so the relative entropy of the
-    full hidden sequence collapses to the relative entropy of the two
-    sub-chain laws. That is computed by the chain rule: divergence of the
-    initial window marginal plus expected divergences of the successive
-    transition kernels. One sweep from the window's end to its start
-    builds the emission-free backward vectors and gathers those expected
-    divergences, so cost is O(h m^2) per window position and memory
-    O(n m^2) whatever h is; every step works on all windows at once.
+    A path's full posterior is its law p without the window times its
+    emission weights w_i over the window (each scaled to peak at 1), up to a
+    constant, so K = log E_p[prod_i w_i] - sum_i E_p[log w_i]. One sweep back
+    over the windows carries, for all at once, p's emission-free backward
+    row v, the weighted row u (in log space), the row b of expected log
+    weights and the 0/1 row of states where p meets a zero weight (K = +inf):
+    O(h m^2) per window and O(n m) memory whatever h is.
     """
     check_plain(model, "windowed_influence")
-    n = len(obs)
-    check_window("h", h, n)
+    check_window("h", h, len(obs))
     fb = forward_backward(model, obs)
-    star = forward_star(model, fb)
-    marg = posterior_marginals(fb)
-    alpha = model.transition
-    num_windows = n - h + 1
-    # Full-evidence transition kernel into each index i + 1, shared by
-    # every window that covers i.
-    kernel_full = _row_normalized(alpha * (fb.scaled_weights() * fb.bwd)[1:, None, :])
-    # At offset t of the window starting at j: hvec[j] is the emission-free
-    # backward vector scaled by its max, and ahead[j, s] the expected
-    # divergence of the window's kernels from t on, given state s at t.
-    hvec = fb.bwd[h - 1 :]
-    ahead = np.zeros((num_windows, model.num_states))
-    for t in range(h - 2, -1, -1):
-        v = hvec @ alpha.T
-        # Rows sum to v; a state with no way on (v = 0) keeps a zero row.
-        kernel_star = alpha * hvec[:, None, :] / np.where(v > 0, v, np.inf)[:, :, None]
-        row_kl = kl_divergence(kernel_star, kernel_full[t : t + num_windows])
-        # A move the window's law never takes adds nothing, even where the
-        # divergence ahead of it is infinite; likewise a start state below.
-        ahead = row_kl + np.multiply(
-            kernel_star, ahead[:, None, :], out=np.zeros_like(kernel_star), where=kernel_star > 0
-        ).sum(axis=2)
-        hvec = v / v.max(axis=1, keepdims=True)
-    # Initial marginals of the two sub-chain laws at each window start.
-    m_star = _normalized_product(star.fstar[:num_windows], hvec, _leave_out_impossible)
-    terms = np.multiply(m_star, ahead, out=np.zeros_like(m_star), where=m_star > 0)
-    return WindowInfluenceProfile(h=h, k=kl_divergence(m_star, marg[:num_windows]) + terms.sum(1))
+    alpha_t = model.transition.T
+    num_windows = len(obs) - h + 1
+    log_w = fb.log_weights - fb.weight_offsets[:, None]
+    zero = log_w == -np.inf
+    finite_log_w = np.where(zero, 0.0, log_w)
+    vb = np.stack([fb.bwd[h - 1 :], finite_log_w[h - 1 :] * fb.bwd[h - 1 :]])  # v, b
+    log_v = np.zeros(num_windows)
+    reach = zero[h - 1 :] & (fb.bwd[h - 1 :] > 0.0)
+    with np.errstate(divide="ignore"):
+        log_u = np.log(fb.bwd[h - 1 :])
+        for t in range(h - 2, -1, -1):
+            x = log_w[t + 1 : t + 1 + num_windows] + log_u
+            top = x.max(axis=1, keepdims=True)
+            top[top == -np.inf] = 0.0
+            log_u = np.log(np.exp(x - top) @ alpha_t) + top
+            vb = vb @ alpha_t
+            vb[1] += finite_log_w[t : t + num_windows] * vb[0]
+            reach = (reach @ alpha_t > 0.0) | (zero[t : t + num_windows] & (vb[0] > 0.0))
+            top = vb[0].max(axis=1, keepdims=True)  # 0 where v underflowed: refused below
+            np.divide(vb, top, out=vb, where=top > 0.0)
+            log_v += np.log(top[:, 0])
+        fstar = forward_star(model, fb).fstar[:num_windows]
+        total = _checked_product(fstar, vb[0], _leave_out_impossible)[1][:, 0]
+        log_f = np.log(fstar) + log_w[:num_windows]
+        log_gain = _logsumexp(log_f + log_u)
+        # A window whose every term of u underflowed is taken again per state.
+        lost = np.flatnonzero(log_gain == -np.inf)
+        if lost.size:
+            log_alpha, row = np.log(model.transition), np.log(fb.bwd[lost + h - 1])
+            for t in range(h - 2, -1, -1):
+                row = _logsumexp(log_alpha + (log_w[lost + t + 1] + row)[:, None, :])
+            log_gain[lost] = _logsumexp(log_f[lost] + row)
+    k = np.maximum(log_gain - np.log(total) - log_v - (fstar * vb[1]).sum(axis=1) / total, 0.0)
+    k[((fstar * reach).sum(axis=1) > 0.0) | (log_gain == -np.inf)] = np.inf
+    return WindowInfluenceProfile(h=h, k=k)

@@ -13,6 +13,8 @@ Three independent routes to the influence vector live here:
   logarithm, so that no row, marginal or weight underflows: it gives K
   where a full marginal is denormal, and +inf only where a state that the
   leave-out law allows has a true zero probability under full evidence.
+  Its window form takes the chain rule over the window's hidden sub-chain,
+  with every kernel formed in log space.
 """
 
 import itertools
@@ -20,7 +22,7 @@ import itertools
 import numpy as np
 
 from .inference import forward_backward, posterior_marginals
-from .influence import InfluenceProfile, kl_divergence
+from .influence import InfluenceProfile, check_window, kl_divergence
 from .model import EvidenceImpossibleError, HmmModel, ObservationSequence, check_plain
 
 
@@ -149,21 +151,10 @@ def _log_sum_exp(a: np.ndarray, axis: int) -> np.ndarray:
         return np.squeeze(np.log(np.sum(np.exp(a - top), axis=axis, keepdims=True)) + top, axis)
 
 
-def kld_influence_log_space(model: HmmModel, obs: ObservationSequence) -> np.ndarray:
-    """Pointwise influence K from log-space recursions, O(n m^2).
-
-    The emission-free ("star") forward and the backward rows are carried
-    as logarithms, each step a log-sum-exp over the previous state, and
-    each row is shifted by its maximum before it is carried on (a constant
-    per row cancels out of both marginals). At each index j the leave-one-out marginal log p is the
-    star-forward plus the backward row, and the full marginal log q that
-    sum plus the log emission weights, each normalized by its own
-    log-sum-exp; K_j = sum p (log p - log q). A term where log p = -inf is
-    0; one where log p > -inf meets log q = -inf is +inf, even where p
-    itself underflows to 0 in double. Shares no code with ``inference``.
-    """
-    check_plain(model, "kld_influence_log_space")
-    logw = model.log_emission_matrix(obs.values)
+def _log_space_rows(model: HmmModel, logw: np.ndarray) -> tuple:
+    """The log star-forward rows, the log backward rows and the log
+    transition matrix, each row shifted by its maximum (a constant per row
+    cancels out of every law formed from it). Impossible evidence raises."""
     n, m = logw.shape
     with np.errstate(divide="ignore"):
         log_initial = np.log(model.initial)
@@ -182,15 +173,86 @@ def kld_influence_log_space(model: HmmModel, obs: ObservationSequence) -> np.nda
     for i in range(n - 2, -1, -1):
         row = _log_sum_exp(log_alpha + (logw[i + 1] + log_bwd[i + 1])[None, :], 1)
         log_bwd[i] = row - row.max()
-    log_loo = log_star + log_bwd
-    log_full = log_loo + logw
-    log_p = log_loo - _log_sum_exp(log_loo, 1)[:, None]
-    log_q = log_full - _log_sum_exp(log_full, 1)[:, None]
+    return log_star, log_bwd, log_alpha
+
+
+def _log_normalized(a: np.ndarray) -> np.ndarray:
+    """Rows of log weights (last axis) less their log-sum-exp; a row of -inf
+    stays -inf."""
+    total = _log_sum_exp(a, -1)
+    return a - np.where(np.isneginf(total), 0.0, total)[..., None]
+
+
+def _kl_terms(log_mass: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """sum exp(log_mass) (log_p - log_q) over the last axis. A term of mass
+    -inf is 0, and one of mass > -inf where log_q = -inf is +inf, even where
+    the mass underflows to 0 in double."""
     with np.errstate(invalid="ignore"):
-        terms = np.exp(log_p) * (log_p - log_q)
+        terms = np.exp(log_mass) * (log_p - log_q)
     terms[np.isneginf(log_q)] = np.inf
-    terms[np.isneginf(log_p)] = 0.0
-    return terms.sum(axis=1)
+    terms[np.isneginf(log_mass)] = 0.0
+    return terms.sum(axis=-1)
+
+
+def kld_influence_log_space(model: HmmModel, obs: ObservationSequence) -> np.ndarray:
+    """Pointwise influence K from log-space recursions, O(n m^2).
+
+    The emission-free ("star") forward and the backward rows are carried
+    as logarithms, each step a log-sum-exp over the previous state. At each
+    index j the leave-one-out marginal log p is the star-forward plus the
+    backward row, and the full marginal log q that sum plus the log emission
+    weights, each normalized by its own log-sum-exp; K_j = sum p (log p -
+    log q). A term where log p = -inf is 0; one where log p > -inf meets
+    log q = -inf is +inf, even where p itself underflows to 0 in double.
+    Shares no code with ``inference``.
+    """
+    check_plain(model, "kld_influence_log_space")
+    logw = model.log_emission_matrix(obs.values)
+    log_star, log_bwd, _ = _log_space_rows(model, logw)
+    log_p = _log_normalized(log_star + log_bwd)
+    log_q = _log_normalized(log_star + log_bwd + logw)
+    return _kl_terms(log_p, log_p, log_q)
+
+
+def windowed_influence_log_space(
+    model: HmmModel, obs: ObservationSequence, h: int
+) -> np.ndarray:
+    """Window influence K from log-space recursions and the chain rule,
+    O(n h m^2).
+
+    Conditioned on the hidden states of the window j..j+h-1, the rest of the
+    hidden sequence has the same law with and without the window's
+    observations, so K_j is the divergence of the two laws of the window's
+    sub-chain: that of its first state plus, offset by offset, the expected
+    divergence of the transition kernels. Without the window, the first
+    state's law is the star-forward row times p's emission-free backward
+    row v, carried back from the window's last backward row, and the kernel
+    into index i + 1 is alpha v_{i+1} row-normalized; with every
+    observation they are the forward-backward marginal and alpha w_{i+1}
+    B_{i+1}. Every law is formed in log space as a log-sum-exp, and the
+    terms follow ``kld_influence_log_space``'s rules for 0 and +inf.
+    """
+    check_plain(model, "windowed_influence_log_space")
+    logw = model.log_emission_matrix(obs.values)
+    n = logw.shape[0]
+    check_window("h", h, n)
+    log_star, log_bwd, log_alpha = _log_space_rows(model, logw)
+    log_q_kernel = _log_normalized(log_alpha + (logw + log_bwd)[:, None, :])
+    k = np.empty(n - h + 1)
+    for j in range(n - h + 1):
+        log_v = [log_bwd[j + h - 1]]
+        for _ in range(h - 1):
+            log_v.append(_log_sum_exp(log_alpha + log_v[-1][None, :], 1))
+        log_v.reverse()
+        log_p = _log_normalized(log_star[j] + log_v[0])
+        total = _kl_terms(log_p, log_p, _log_normalized(log_star[j] + logw[j] + log_bwd[j]))
+        for t in range(1, h):
+            log_kernel = _log_normalized(log_alpha + log_v[t][None, :])
+            joint = log_p[:, None] + log_kernel
+            total += _kl_terms(joint, log_kernel, log_q_kernel[j + t]).sum()
+            log_p = _log_sum_exp(joint, 0)
+        k[j] = total
+    return k
 
 
 def chain_marginals(initial: np.ndarray, transition: np.ndarray, n: int) -> np.ndarray:

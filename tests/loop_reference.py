@@ -1,7 +1,7 @@
 """Loop-at-a-time versions of the whole-array library code, kept as test oracles.
 
 Each function here steps through Python loops the way the library did
-before its forward-backward, sampling, window, transition-count, bootstrap
+before its forward-backward, sampling, transition-count, bootstrap
 and EM computations became whole-array numpy, and before the simulation
 benchmark fitted a cell's replicates together. The property tests require
 the library to match them.
@@ -17,13 +17,11 @@ from hmmkld import (
     ForwardBackward,
     GaussianEmission,
     HmmModel,
-    LeaveOneOutImpossibleError,
     ModelError,
     ObservationSequence,
     ScoredReplicate,
     em_fit,
     forward_backward,
-    forward_star,
     kld_influence,
     lof_statistic,
     posterior_marginals,
@@ -199,59 +197,6 @@ def kl_divergence_select(p, q):
         terms = np.where(p == 0.0, 0.0 * q, p * (np.log(p) - np.log(q)))
     total = np.maximum(terms.sum(axis=-1), 0.0)
     return float(total) if total.ndim == 0 else total
-
-
-def kl_row(p, q) -> float:
-    """sum p log(p/q) over one row, with 0 log(0/q) = 0 and p log(p/0) = +inf."""
-    mask = p > 0
-    if np.any(q[mask] == 0.0):
-        return float("inf")
-    ps = p[mask]
-    return float(np.dot(ps, np.log(ps) - np.log(q[mask])))
-
-
-def _row_normalized(mat):
-    return mat / mat.sum(axis=1, keepdims=True)
-
-
-def windowed_influence_loop(model, obs, h) -> np.ndarray:
-    """Window influence K, one window, one offset and one state at a time."""
-    n = len(obs)
-    if not 1 <= h <= n:
-        raise ModelError(f"window length {h} out of range [1, {n}]")
-    fb = forward_backward(model, obs)
-    star = forward_star(model, fb)
-    marg = posterior_marginals(fb)
-    alpha = model.transition
-    w = fb.scaled_weights()
-    num_windows = n - h + 1
-    k = np.empty(num_windows)
-    for j in range(num_windows):
-        last = j + h - 1
-        hvec = [None] * h
-        hvec[h - 1] = fb.bwd[last]
-        for t in range(h - 2, -1, -1):
-            v = alpha @ hvec[t + 1]
-            hvec[t] = v / v.max()
-        p_star = star.fstar[j] * hvec[0]
-        total = p_star.sum()
-        if total == 0.0:
-            raise LeaveOneOutImpossibleError(
-                f"impossible leave-out evidence at index {j}"
-            )
-        p_star = p_star / total
-        total_k = kl_row(p_star, marg[j])
-        m_star = p_star
-        for t in range(h - 1):
-            i = j + t
-            kernel_star = _row_normalized(alpha * hvec[t + 1][None, :])
-            kernel_full = _row_normalized(alpha * (w[i + 1] * fb.bwd[i + 1])[None, :])
-            for s in range(model.num_states):
-                if m_star[s] > 0:
-                    total_k += m_star[s] * kl_row(kernel_star[s], kernel_full[s])
-            m_star = m_star @ kernel_star
-        k[j] = total_k
-    return k
 
 
 def transition_counts_loop(model, fb) -> np.ndarray:

@@ -340,16 +340,32 @@ class TestWindowedInfluence:
             )
 
     def test_memory_does_not_grow_with_the_window(self):
-        # One sweep holds a single offset's rows, O(n m^2) in all; a store of
-        # every offset, (h, n - h + 1, m), peaks at about 93 MiB here.
+        # One sweep holds a single offset's rows, O(n m) in all; a store of
+        # every offset, (h, n - h + 1, m), peaks at about 93 MiB here. The
+        # weighted row keeps its own log scale: on v's scale it would
+        # underflow to 0 over 2,000 offsets.
         _, obs = sample(ANNUAL_CHAIN, 4000, seed=7)
         tracemalloc.start()
         try:
-            windowed_influence(ANNUAL_CHAIN, obs, 2000)
+            k = windowed_influence(ANNUAL_CHAIN, obs, 2000).k
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+        assert np.isfinite(k).all()
+
+    @pytest.mark.parametrize("sigma", [0.052, 0.0519, 0.05])
+    def test_one_observation_matches_closed_form(self, sigma):
+        # The n = 1 case of TestLogSpaceReference: the full marginal of the
+        # state at +1 is near or below the double range, and a K formed
+        # from it loses precision or turns +inf (at sigma = 0.05).
+        model = HmmModel(
+            [0.5, 0.5], np.eye(2), GaussianEmission.homoscedastic([-1.0, 1.0], sigma)
+        )
+        delta = 2.0 / sigma**2
+        exact = np.log1p(np.exp(-delta)) - np.log(2.0) + delta / 2.0
+        k = windowed_influence(model, ObservationSequence(np.array([-1.0])), 1).k
+        assert k[0] == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_window_out_of_range(self, rng):
         model = random_gaussian_model(rng, 2)
@@ -365,8 +381,8 @@ class TestWindowedInfluence:
     [
         (POSTERIOR_ROW_UNDERFLOW, [1, 1, 1], 1, EvidenceImpossibleError,
          "the backward pass underflowed at index 0"),
-        (POSTERIOR_ROW_UNDERFLOW, [1, 1, 1], 2, EvidenceImpossibleError,
-         "the backward pass underflowed at index 0"),
+        # The window sweep forms no posterior row: it gives the enumeration's K.
+        (POSTERIOR_ROW_UNDERFLOW, [1, 1, 1], 2, None, "K at index 0"),
         (LEAVE_OUT_UNDERFLOW, [2, 1], 1, LeaveOneOutImpossibleError,
          "impossible leave-out evidence at index 0"),
         (WINDOW_START_UNDERFLOW, [0, 2, 2, 1], 2, LeaveOneOutImpossibleError,
@@ -379,7 +395,11 @@ def test_underflowing_row_is_refused(model, symbols, h, error, message):
     # for a value that a log-space product could give, and is never NaN.
     obs = ObservationSequence(np.array(symbols))
     index = int(message.rsplit(" ", 1)[1])
-    assert enumeration_influence(model, obs, window=h)[index] == 0.0
+    expected = enumeration_influence(model, obs, window=h)
+    assert expected[index] == 0.0
+    if error is None:
+        np.testing.assert_array_equal(windowed_influence(model, obs, h).k, expected)
+        return
     with pytest.raises(error, match=message):
         if h == 1:
             kld_influence(model, obs)

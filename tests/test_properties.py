@@ -46,6 +46,7 @@ from hmmkld.reference import (
     enumeration_influence,
     enumeration_log_evidence,
     kld_influence_log_space,
+    windowed_influence_log_space,
 )
 from hmmkld.training import _expected_transition_counts, _fit_stack, _m_step
 
@@ -57,7 +58,6 @@ from loop_reference import (
     sample_loop,
     simulate_loop,
     transition_counts_loop,
-    windowed_influence_loop,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -103,11 +103,11 @@ def assert_close_or_equal_inf(actual, expected, tol):
 
 @PROPERTY_SETTINGS
 @given(problems(), st.integers(1, 6))
-def test_windowed_matches_loop_and_is_nonnegative(problem, h):
+def test_windowed_matches_log_space_reference_and_is_nonnegative(problem, h):
     model, obs = problem
     h = min(h, len(obs))
     fast = windowed_influence(model, obs, h).k
-    assert_close_or_equal_inf(fast, windowed_influence_loop(model, obs, h), 1e-12)
+    assert_close_or_equal_inf(fast, windowed_influence_log_space(model, obs, h), 1e-12)
     assert not np.any(np.isnan(fast))
     assert np.all(fast >= 0.0)
 
@@ -149,7 +149,7 @@ def test_state_permutation_equivariance(problem, data):
 def test_window_of_one_matches_pointwise(problem):
     model, obs = problem
     assert_close_or_equal_inf(
-        windowed_influence(model, obs, 1).k, kld_influence(model, obs).k, 1e-12
+        windowed_influence(model, obs, 1).k, kld_influence_log_space(model, obs), 1e-12
     )
 
 
@@ -246,16 +246,17 @@ def test_no_influence_entry_point_returns_nan(problem, h):
             assert not any(np.isnan(a).any() for a in arrays)
 
 
-def normal_posteriors(model, obs) -> bool:
+def normal_posteriors(model, obs, window=1) -> bool:
     """Whether every hidden sequence's posterior probability, under full
-    evidence and with any one observation left out, is 0 or at least the
-    smallest normal double, so that the enumeration holds no denormal."""
+    evidence and with any window of ``window`` observations left out, is 0
+    or at least the smallest normal double, so that the enumeration holds
+    no denormal."""
     _, chain, emit = enumerate_log_joint(model, obs)
     keep = np.ones(len(obs), dtype=bool)
-    for drop in [None, *range(len(obs))]:
+    for drop in [None, *range(len(obs) - window + 1)]:
         keep[:] = True
         if drop is not None:
-            keep[drop] = False
+            keep[drop : drop + window] = False
         logp = chain + emit[keep].sum(axis=0)
         logp = logp[np.isfinite(logp)]
         if np.any(logp - np.logaddexp.reduce(logp) < np.log(np.finfo(float).tiny)):
@@ -289,6 +290,47 @@ def test_log_space_reference_is_infinite_where_enumeration_is(problem):
             kld_influence_log_space(model, obs)
         return
     assert_close_or_equal_inf(kld_influence_log_space(model, obs), expected, 1e-10)
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_windowed_log_space_reference_of_one_is_pointwise(problem):
+    model, obs = problem
+    assert_close_or_equal_inf(
+        windowed_influence_log_space(model, obs, 1), kld_influence_log_space(model, obs), 1e-13
+    )
+
+
+@PROPERTY_SETTINGS
+@given(problems(sizes=st.integers(1, 6)), st.integers(1, 6))
+def test_windowed_log_space_reference_matches_enumeration(problem, h):
+    """Where the enumeration holds no denormal, the log-space window K is
+    its value."""
+    model, obs = problem
+    h = min(h, len(obs))
+    if not normal_posteriors(model, obs, window=h):
+        return
+    assert_close_or_equal_inf(
+        windowed_influence_log_space(model, obs, h),
+        enumeration_influence(model, obs, window=h),
+        1e-10,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_problems(), st.integers(1, 6))
+def test_windowed_log_space_reference_is_infinite_where_enumeration_is(problem, h):
+    """The log-space window K is +inf exactly where the enumeration's is,
+    and raises exactly where the enumeration finds the evidence impossible."""
+    model, obs = problem
+    h = min(h, len(obs))
+    try:
+        expected = enumeration_influence(model, obs, window=h)
+    except EvidenceImpossibleError:
+        with pytest.raises(EvidenceImpossibleError):
+            windowed_influence_log_space(model, obs, h)
+        return
+    assert_close_or_equal_inf(windowed_influence_log_space(model, obs, h), expected, 1e-10)
 
 
 KL_PLANTED = [0.0, -0.0, 5e-324, np.nan, np.inf]
