@@ -41,9 +41,9 @@ class ForwardBackward:
     The unscaled quantities are recovered as
     ``F_i(s) = fwd[i, s] * exp(log_scale_fwd[i])`` and
     ``B_i(s) = bwd[i, s] * exp(log_scale_bwd[i])``.
-    ``log_weights`` caches the per-index log emission weights and
-    ``weight_offsets`` the per-index maxima subtracted before
-    exponentiation; both are reused by the influence recursions.
+    ``log_weights`` holds each index's log emission weights less their
+    maximum, the scaled weights the recursions ran on, so every row peaks
+    at exactly 0; the maxima sit in the log scales.
 
     For a lane model, or a stack of series, every field carries the
     leading lane axis: ``fwd`` is (R, n, m), ``log_scale_fwd`` (R, n) and
@@ -56,14 +56,9 @@ class ForwardBackward:
     log_scale_bwd: np.ndarray
     log_evidence: Union[float, np.ndarray]
     log_weights: np.ndarray
-    weight_offsets: np.ndarray
 
     def __len__(self) -> int:
         return self.fwd.shape[-2]
-
-    def scaled_weights(self) -> np.ndarray:
-        """exp(log_weights - per-index max), shape (n, m) or (R, n, m)."""
-        return np.exp(self.log_weights - self.weight_offsets[..., None])
 
     def log_evidence_at(self, i: int):
         """log sum_s F_i(s) B_i(s), reconstructed from the scaled rows.
@@ -133,8 +128,8 @@ def forward_backward(
         log_scale_bwd[:, -2::-1] = np.add.accumulate(terms, axis=1)[:, 1::2]
 
     if model.lanes is None:
-        fwd, log_scale_fwd, bwd, log_scale_bwd, logw, offsets = (
-            a[0] for a in (fwd, log_scale_fwd, bwd, log_scale_bwd, logw, offsets)
+        fwd, log_scale_fwd, bwd, log_scale_bwd, log_w = (
+            a[0] for a in (fwd, log_scale_fwd, bwd, log_scale_bwd, log_w)
         )
     log_evidence = log_scale_fwd[..., n - 1]
     return ForwardBackward(
@@ -143,8 +138,7 @@ def forward_backward(
         bwd=bwd,
         log_scale_bwd=log_scale_bwd,
         log_evidence=float(log_evidence) if model.lanes is None else log_evidence,
-        log_weights=logw,
-        weight_offsets=offsets,
+        log_weights=log_w,
     )
 
 

@@ -49,7 +49,7 @@ class InfluenceProfile:
     marginals: np.ndarray
 
     def __len__(self) -> int:
-        return self.k.size
+        return self.k.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,12 @@ class WindowInfluenceProfile:
 def forward_star(model: HmmModel, fb: ForwardBackward) -> StarForward:
     """Emission-free forward recursion driven by the standard forward rows."""
     return StarForward(
-        fstar=np.concatenate([model.initial[None], fb.fwd[:-1] @ model.transition]),
-        log_scale=np.concatenate([[0.0], fb.log_scale_fwd[:-1]]),
+        fstar=np.concatenate(
+            [model.initial[..., None, :], fb.fwd[..., :-1, :] @ model.transition], axis=-2
+        ),
+        log_scale=np.concatenate(
+            [np.zeros_like(fb.log_scale_fwd[..., :1]), fb.log_scale_fwd[..., :-1]], axis=-1
+        ),
     )
 
 
@@ -78,8 +82,8 @@ def _leave_out_impossible(j: int) -> LeaveOneOutImpossibleError:
 def loo_marginal(star: StarForward, fb: ForwardBackward, j: int) -> np.ndarray:
     """Posterior marginal of the hidden state at j given all other observations."""
     return _normalized_product(
-        star.fstar[j, None], fb.bwd[j, None], lambda _: _leave_out_impossible(j)
-    )[0]
+        star.fstar[..., j, None, :], fb.bwd[..., j, None, :], lambda _: _leave_out_impossible(j)
+    )[..., 0, :]
 
 
 def kl_divergence(p, q):
@@ -108,14 +112,15 @@ def kl_divergence(p, q):
     return max(float(total), 0.0) if total.ndim == 0 else np.maximum(total, 0.0)
 
 
-def kld_influence(model: HmmModel, obs: ObservationSequence) -> InfluenceProfile:
-    """Influence of every observation in one O(n m^2) pass."""
-    check_plain(model, "kld_influence")
+def kld_influence(model: HmmModel, obs: ObservationSequence | np.ndarray) -> InfluenceProfile:
+    """Influence of every observation in one O(n m^2) pass. A lane model's
+    profile, on one series or an (R, n) stack, is its lanes' own bit for bit."""
     fb = forward_backward(model, obs)
     star = forward_star(model, fb)
     marg = posterior_marginals(fb)
     loo = _normalized_product(star.fstar, fb.bwd, _leave_out_impossible)
-    k = np.array([kl_divergence(p, q) for p, q in zip(loo, marg)])
+    rows = zip(np.moveaxis(loo, -2, 0), np.moveaxis(marg, -2, 0))  # one call per index, all lanes
+    k = np.moveaxis(np.array([kl_divergence(p, q) for p, q in rows]), 0, -1)
     return InfluenceProfile(k=k, loo_marginals=loo, marginals=marg)
 
 
@@ -144,7 +149,7 @@ def windowed_influence(
     fb = forward_backward(model, obs)
     alpha_t = model.transition.T
     num_windows = len(obs) - h + 1
-    log_w = fb.log_weights - fb.weight_offsets[:, None]
+    log_w = fb.log_weights
     zero = log_w == -np.inf
     finite_log_w = np.where(zero, 0.0, log_w)
     vb = np.stack([fb.bwd[h - 1 :], finite_log_w[h - 1 :] * fb.bwd[h - 1 :]])  # v, b

@@ -17,7 +17,7 @@ import numpy as np
 
 from .influence import kld_influence
 from .model import ModelError, ObservationSequence, check_count
-from .training import DegenerateFitError, EmConfig, _fit_stack, kmeans_1d
+from .training import DegenerateFitError, EmConfig, _fit_stack, _lane_map, kmeans_1d
 
 LOF_R_RANGE = (10, 20)
 # The per-replicate EM fit and the z-score clustering both use this many
@@ -271,9 +271,9 @@ def _score_batch(cfg: SimulationConfig, batch) -> List[Optional[ScoredReplicate]
     fit is degenerate (every restart collapsed).
 
     A draw takes its series and EM seed from the stream of (seed,
-    hypothesis, index, attempt), and one lock-step EM fits every drawn
-    series. Each fitted replicate's z-scores then continue its own stream,
-    so every record equals that of a run of that replicate alone.
+    hypothesis, index, attempt). One lock-step EM fits the drawn series and
+    one lane ``kld_influence`` gives their K; each z-score continues its
+    replicate's stream, so a record equals that of a run of it alone.
     """
     draws = []
     for key, attempt in batch:
@@ -283,24 +283,24 @@ def _score_batch(cfg: SimulationConfig, batch) -> List[Optional[ScoredReplicate]
         draws.append((rng, values, positions, int(rng.integers(2**63))))
     em = detector_config(NUM_STATES, cfg.em_restarts, seed=0)  # the draws hold the seeds
     fits = _fit_stack(np.stack([d[1] for d in draws]), em, [d[3] for d in draws])
-    records = []
-    for (_, attempt), (rng, values, positions, _), fit in zip(batch, draws, fits):
-        if fit is None:
-            records.append(None)
-            continue
-        profile = kld_influence(fit.model, ObservationSequence(values))
+    fitted = [s for s, fit in enumerate(fits) if fit is not None]
+    records = [None] * len(batch)
+    if not fitted:
+        return records
+    lanes = _lane_map(lambda *a: np.stack(a), *(fits[s].model for s in fitted))
+    t_kld = kld_influence(lanes, np.stack([draws[s][1] for s in fitted])).k.max(axis=-1).tolist()
+    for s, t in zip(fitted, t_kld):
+        (_, attempt), (rng, values, positions, _) = batch[s], draws[s]
         zres = z_value_scores(values, k=NUM_STATES, seed=rng)
         lres = lof_statistic(values)
-        records.append(
-            ScoredReplicate(
-                t_kld=float(np.max(profile.k)),
-                s_z=zres.statistic,
-                l_lof=lres.statistic,
-                outlier_positions=positions,
-                resampled=attempt,
-                z_degenerate=zres.degenerate,
-                lof_clipped=lres.clipped,
-            )
+        records[s] = ScoredReplicate(
+            t_kld=t,
+            s_z=zres.statistic,
+            l_lof=lres.statistic,
+            outlier_positions=positions,
+            resampled=attempt,
+            z_degenerate=zres.degenerate,
+            lof_clipped=lres.clipped,
         )
     return records
 

@@ -104,7 +104,7 @@ def kld_influence_naive(model: HmmModel, obs: ObservationSequence) -> InfluenceP
     fb = forward_backward(model, obs)
     marg = posterior_marginals(fb)
     n, m = marg.shape
-    w = fb.scaled_weights()
+    w = np.exp(fb.log_weights)
     alpha = model.transition
 
     # Forward re-runs: row j holds the scaled forward vector of the pass

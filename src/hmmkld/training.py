@@ -165,7 +165,7 @@ def _expected_transition_counts(model, fb) -> np.ndarray:
     the sum over i is one matrix product (Rabiner 1989).
     """
     alpha = model.transition
-    ahead = (fb.scaled_weights() * fb.bwd)[..., 1:, :]
+    ahead = (np.exp(fb.log_weights) * fb.bwd)[..., 1:, :]
     before = fb.fwd[..., :-1, :]
     z = ((before @ alpha) * ahead).sum(axis=-1)
     return alpha * ((before / z[..., None]).swapaxes(-1, -2) @ ahead)

@@ -60,7 +60,8 @@ def forward_backward_loop(model: HmmModel, obs: ObservationSequence) -> ForwardB
     # Index-major copies, so that each step of the loops below reads and
     # writes one contiguous (R, m) block. The trailing unit axes let the
     # transition products run as stacked row- and column-vector matmuls.
-    w = np.ascontiguousarray(np.exp(logw - offsets[..., None]).swapaxes(0, 1))
+    log_w = logw - offsets[..., None]
+    w = np.ascontiguousarray(np.exp(log_w).swapaxes(0, 1))
     num_lanes, n, m = logw.shape
     w_row, w_col = w[:, :, None, :], w[:, :, :, None]
 
@@ -136,8 +137,7 @@ def forward_backward_loop(model: HmmModel, obs: ObservationSequence) -> ForwardB
         bwd=out(bwd.reshape(n, num_lanes, m)),
         log_scale_bwd=out(log_scale_bwd),
         log_evidence=float(log_evidence) if model.lanes is None else log_evidence,
-        log_weights=logw[0] if model.lanes is None else logw,
-        weight_offsets=out(offsets),
+        log_weights=log_w[0] if model.lanes is None else log_w,
     )
 
 
@@ -202,7 +202,7 @@ def kl_divergence_select(p, q):
 def transition_counts_loop(model, fb) -> np.ndarray:
     """Baum-Welch expected transition counts, one posterior xi_i at a time."""
     n, m = fb.fwd.shape
-    w = fb.scaled_weights()
+    w = np.exp(fb.log_weights)
     counts = np.zeros((m, m))
     for i in range(n - 1):
         xi = model.transition * np.outer(fb.fwd[i], w[i + 1] * fb.bwd[i + 1])

@@ -20,6 +20,7 @@ from hmmkld.reference import (
     enumeration_log_evidence,
     enumeration_marginals,
 )
+from hmmkld.training import _lane_map
 
 from conftest import (
     BELOW_DOUBLE_RANGE,
@@ -221,6 +222,19 @@ class TestForwardBackward:
         np.testing.assert_allclose(
             posterior_marginals(fb), enumeration_marginals(model, obs), atol=1e-12
         )
+
+    @pytest.mark.parametrize("lanes", [None, 3])
+    def test_log_weights_are_scaled_to_peak_at_zero(self, rng, lanes):
+        models = [random_gaussian_model(rng, 3) for _ in range(lanes or 1)]
+        if lanes is None:
+            model, values = models[0], rng.normal(0, 3, 40)
+        else:
+            model = _lane_map(lambda *a: np.stack(a), *models)
+            values = rng.normal(0, 3, (lanes, 40))
+        fb = forward_backward(model, values if lanes else ObservationSequence(values))
+        logw = model.log_emission_matrix(values)
+        np.testing.assert_array_equal(fb.log_weights, logw - logw.max(axis=-1, keepdims=True))
+        assert (fb.log_weights.max(axis=-1) == 0.0).all()
 
 
 class TestPosteriorMarginals:

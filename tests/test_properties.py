@@ -31,9 +31,11 @@ from hmmkld import (
     em_fit,
     empirical_auc,
     forward_backward,
+    forward_star,
     kl_divergence,
     kld_influence,
     kld_influence_naive,
+    loo_marginal,
     posterior_marginals,
     reorder_states,
     sample,
@@ -469,7 +471,7 @@ def test_lane_forward_backward_equals_separate_calls(problem):
     assert fb.fwd.shape == (model.lanes, len(obs), model.num_states)
     for r in range(model.lanes):
         one = forward_backward(lane(model, r), obs)
-        for name in ("fwd", "bwd", "log_scale_fwd", "log_scale_bwd", "weight_offsets"):
+        for name in ("fwd", "bwd", "log_scale_fwd", "log_scale_bwd", "log_weights"):
             np.testing.assert_array_equal(getattr(fb, name)[r], getattr(one, name))
         assert fb.log_evidence[r] == pytest.approx(one.log_evidence, rel=1e-12, abs=0.0)
 
@@ -519,8 +521,7 @@ def test_stack_of_series_equals_separate_calls(problem, tied, shared_sigma):
         return
     fb, weights, counts, fitted = em_step(model, stack, cfg)
     for r, (one, weights_r, counts_r, fitted_r) in enumerate(separate):
-        for name in ("fwd", "bwd", "log_scale_fwd", "log_scale_bwd", "log_weights",
-                     "weight_offsets"):
+        for name in ("fwd", "bwd", "log_scale_fwd", "log_scale_bwd", "log_weights"):
             np.testing.assert_array_equal(getattr(fb, name)[r], getattr(one, name))
         assert fb.log_evidence[r] == one.log_evidence
         np.testing.assert_array_equal(weights[r], weights_r[0])
@@ -530,6 +531,34 @@ def test_stack_of_series_equals_separate_calls(problem, tied, shared_sigma):
             (fitted_r.initial, fitted_r.transition, *vars(fitted_r.emission).values()),
         ):
             np.testing.assert_array_equal(got[r], want[0])
+
+
+@PROPERTY_SETTINGS
+@given(stacks())
+def test_lane_influence_equals_separate_calls(problem):
+    model, stack = problem
+    separate, failed = [], []
+    for r in range(model.lanes):
+        try:
+            separate.append(kld_influence(lane(model, r), ObservationSequence(stack[r])))
+        except (ArithmeticError, ValueError, RuntimeWarning) as exc:
+            failed.append(type(exc))
+    if failed:
+        # A lane that fails alone fails the stack as one of them fails.
+        with pytest.raises(tuple(failed)):
+            kld_influence(model, stack)
+        return
+    profile = kld_influence(model, stack)
+    fb = forward_backward(model, stack)
+    star = forward_star(model, fb)
+    for r, one in enumerate(separate):
+        assert len(profile) == len(one)
+        for name in ("k", "loo_marginals", "marginals"):
+            assert_same_bits(getattr(profile, name)[r], getattr(one, name))
+        fb_r = forward_backward(lane(model, r), ObservationSequence(stack[r]))
+        star_r = forward_star(lane(model, r), fb_r)
+        for j in range(len(fb)):
+            assert_same_bits(loo_marginal(star, fb, j)[r], loo_marginal(star_r, fb_r, j))
 
 
 def chunk_edges(s):
