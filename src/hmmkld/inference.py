@@ -106,8 +106,10 @@ def forward_backward(
         fwd, log_c, bwd, log_d = _chunked_pass(initial, alpha, log_w)
         # A normalizer of 0, or NaN after a 0, in either direction marks a
         # lane whose evidence is impossible or underflowed: the log-space
-        # pass decides which, and replaces all of that lane's rows.
-        stuck = ~((log_c > -np.inf).all(axis=1) & (log_d > -np.inf).all(axis=1))
+        # pass decides which, and replaces all of that lane's rows. No log
+        # normalizer is +inf, so a lane's sum of them is -inf or NaN
+        # exactly when one of them is.
+        stuck = ~(np.add.reduce(log_c, 1) + np.add.reduce(log_d, 1) > -np.inf)
         if stuck.any():
             fwd[stuck], log_c[stuck], bwd[stuck], log_d[stuck] = _log_space_pass(
                 initial[stuck], alpha[stuck], log_w[stuck]
@@ -152,22 +154,27 @@ def _chunked_pass(initial: np.ndarray, alpha: np.ndarray, log_w: np.ndarray):
     after it NaN, and the logs of theirs too.
     """
     num_lanes, n, m = log_w.shape
+    add, biggest = np.add.reduce, np.maximum.reduce
     w = np.exp(log_w)
-    first = np.multiply(initial, w[:, 0])
-    c = first.sum(axis=-1, keepdims=True)
+    fwd = np.empty((num_lanes, n, m))
+    first = np.multiply(initial, w[:, 0], out=fwd[:, 0])
+    c = add(first, -1, None, None, True)
     first /= c
     if n == 1:
-        return first[:, None], np.log(c), np.ones((num_lanes, 1, m)), np.zeros((num_lanes, 0))
+        return fwd, np.log(c), np.ones((num_lanes, 1, m)), np.zeros((num_lanes, 0))
 
     # Step i = 1 + j * size + k, for k < size, is M_i = alpha * w_i (the
     # weights scale the columns): f_i is f_{i-1} M_i and b_{i-1} is M_i b_i,
     # each normalized. The last of the `chunks` chunks holds the `last`
-    # steps left over. One carry step serves both directions, so a carry
-    # step costs less than the three loops over a chunk's steps spend per
-    # step of the chunk length, and chunks of about sqrt(n / 4) steps beat
-    # sqrt(n). The arrays below are step-major, with the chunk as their
-    # last axis: each step of every chunk is one matmul per lane, and the
-    # normalizers reduce over an axis that is not the inner one.
+    # steps left over, and weights of 1 fill the slots of the steps it
+    # lacks: the transfer product skips them, while the recursions inside
+    # the chunks run them at full width and never copy out their rows. One
+    # carry step serves both directions, so a carry step costs less than
+    # the three loops over a chunk's steps spend per step of the chunk
+    # length, and chunks of about sqrt(n / 4) steps beat sqrt(n). The arrays
+    # below are step-major, with the chunk as their last axis: each step of
+    # every chunk is one matmul per lane, and the normalizers reduce over an
+    # axis that is not the inner one.
     steps = n - 1
     size = math.isqrt((steps - 1) // 4) + 1
     chunks = -(-steps // size)
@@ -179,30 +186,30 @@ def _chunked_pass(initial: np.ndarray, alpha: np.ndarray, log_w: np.ndarray):
     by_chunk[:, -1, :last] = w[:, 1 + full :]
     del w
     alpha_t = alpha.swapaxes(-1, -2)
-    add, biggest = np.add.reduce, np.maximum.reduce
 
     # Each chunk's transfer matrix T, the product of its step matrices, kept
-    # transposed: transfer[r, b, j, a] is T_j[a, b] of lane r. After each
-    # product every row of T (a forward pass from one state) is divided by
-    # its maximum, and the logs of those maxima are summed in `scale`, so
-    # no row underflows however far apart the rows' scales drift.
-    transfer = alpha_t[:, :, None, :] * weights[0, ..., None]
-    flat = transfer.reshape(num_lanes, m, chunks * m)
-    product = np.empty_like(flat)
-    tops = np.ones((size, num_lanes, 1, chunks, m))
+    # transposed and chunk-last like every array here: transfer[r, b, a, j]
+    # is T_j[a, b] of lane r, so the weights and the normalizers run over
+    # inner loops of length `chunks`. After each product every row of T (a
+    # forward pass from one state) is divided by its maximum, and the logs
+    # of those maxima are summed in `scale`, so no row underflows however
+    # far apart the rows' scales drift. A row of zeros is divided by the
+    # least double and stays zero; the log of its maximum is -inf.
+    transfer = np.empty((num_lanes, m, m, chunks))
+    np.multiply(alpha_t[..., None], weights[0, ..., None, :], out=transfer)
+    flat = transfer.reshape(num_lanes, m, m * chunks)
+    product = np.empty_like(transfer)
+    tops = np.ones((size, num_lanes, 1, m, chunks))
     for k in range(size):
         active = chunks if k < last else chunks - 1
-        t, top = transfer[:, :, :active], tops[k, :, :, :active]
+        t, top = transfer[..., :active], tops[k, ..., :active]
         if k:
-            cols = slice(0, active * m)
-            np.matmul(alpha_t, flat[..., cols], out=product[..., cols])
-            np.multiply(
-                product[..., cols].reshape(t.shape), weights[k, :, :, :active, None], out=t
-            )
+            np.matmul(alpha_t, flat, out=product.reshape(flat.shape))
+            np.multiply(product[..., :active], weights[k, ..., None, :active], out=t)
         biggest(t, 1, None, top, True)
-        np.divide(t, top, out=t, where=top > 0.0)
+        np.divide(t, np.maximum(top, 5e-324), out=t)
     del product
-    scale = np.log(tops).sum(axis=0).transpose(2, 0, 3, 1)
+    scale = np.log(tops).sum(axis=0).transpose(3, 0, 2, 1)
     del tops
 
     # Carry a forward row into each chunk from the left and a backward row
@@ -215,15 +222,15 @@ def _chunked_pass(initial: np.ndarray, alpha: np.ndarray, log_w: np.ndarray):
     # leaves them so for the next. Every operand is contiguous, so each
     # matrix takes the same BLAS path as it would alone.
     carry = np.empty((chunks - 1, 2, num_lanes, m, m))
-    carry[:, 0] = transfer[:, :, :-1].transpose(2, 0, 1, 3)
-    carry[:, 1] = transfer[:, :, -2::-1].transpose(2, 0, 3, 1)
+    carry[:, 0] = transfer[..., :-1].transpose(3, 0, 1, 2)
+    carry[:, 1] = transfer[..., -2::-1].transpose(3, 0, 2, 1)
     scales = np.empty((chunks - 1, 2, num_lanes, m, 1))
     scales[:, 0] = scale[:-1]
     scales[:, 1] = scale[:0:-1]
     carried = np.empty((chunks, 2, num_lanes, m, 1))
     carried[0, 0] = first[..., None]
     np.matmul(
-        np.ascontiguousarray(transfer[:, :, -1].swapaxes(-1, -2)),
+        np.ascontiguousarray(transfer[..., -1].swapaxes(-1, -2)),
         np.ones((num_lanes, m, 1)),
         out=carried[0, 1],
     )
@@ -244,54 +251,56 @@ def _chunked_pass(initial: np.ndarray, alpha: np.ndarray, log_w: np.ndarray):
     # directly: at small R and m, the per-call overhead of indexing and of
     # the array-method wrappers costs more than the work.
     rows = np.empty((size, num_lanes, m, chunks))
-    norms = np.ones((size, num_lanes, 1, chunks))
+    # Each step's forward sums c and backward maxima d, side by side.
+    norms = np.empty((size, num_lanes, 2, chunks))
     prev = np.ascontiguousarray(start[..., 0].transpose(1, 2, 0))
-    for k in range(size):
-        active = chunks if k < last else chunks - 1
-        row, c_k = rows[k, ..., :active], norms[k, ..., :active]
-        np.matmul(alpha_t, prev[..., :active], out=row)
-        np.multiply(row, weights[k, ..., :active], out=row)
+    for row, norm, w_k in zip(rows, norms, weights):
+        c_k = norm[:, :1]
+        np.matmul(alpha_t, prev, out=row)
+        np.multiply(row, w_k, out=row)
         add(row, 1, None, c_k, True)
         np.divide(row, c_k, out=row)
-        prev = rows[k]
-    fwd = np.empty((num_lanes, n, m))
-    fwd[:, 0] = first
-    log_c = np.empty((num_lanes, n))
-    log_c[:, 0] = np.log(c[:, 0])
+        prev = row
     _unchunk(fwd, rows, 1)
-    _unchunk(log_c, np.log(norms[:, :, 0]), 1)
 
-    # b at index n - 1 is all ones. It is step `last` of the last chunk,
-    # unless that chunk is full and it is the end row after it.
-    if last < size:
-        rows[last, ..., -1] = 1.0
-    norms = np.ones((size, num_lanes, 1, chunks))
     # The backward row carried into chunk j left step chunks - 2 - j's
-    # exp; the last chunk's is all ones.
+    # exp; the last chunk's is all ones. b at index n - 1 is all ones too:
+    # it is step `last` of the last chunk, where that chunk's recursion
+    # restarts after the steps it lacks, unless that chunk is full and it is
+    # the end row after it.
     ahead = np.ones((num_lanes, m, chunks))
     ahead[..., :-1] = sent[::-1, 1, ..., 0].transpose(1, 2, 0)
     v = np.empty((num_lanes, m, chunks))
     for k in range(size - 1, -1, -1):
-        active = chunks if k < last else chunks - 1
-        row, d_k, v_k = rows[k, ..., :active], norms[k, ..., :active], v[..., :active]
-        np.multiply(weights[k, ..., :active], ahead[..., :active], out=v_k)
-        np.matmul(alpha, v_k, out=row)
+        row, d_k = rows[k], norms[k, :, 1:]
+        np.multiply(weights[k], ahead, out=v)
+        np.matmul(alpha, v, out=row)
         biggest(row, 1, None, d_k, True)
         np.divide(row, d_k, out=row)
-        ahead = rows[k]
-    bwd = _unchunk(np.ones((num_lanes, n, m)), rows, 0)
-    log_d = _unchunk(np.empty((num_lanes, n - 1)), np.log(norms[:, :, 0]), 0)
-    return fwd, log_c, bwd, log_d
+        if k == last:
+            row[..., -1] = 1.0
+        ahead = row
+    bwd = np.empty((num_lanes, n, m))
+    bwd[:, -1] = 1.0
+    _unchunk(bwd, rows, 0)
+    # log c_i and log d_{i-1} at index i.
+    logs = _unchunk(np.empty((num_lanes, n, 2)), np.log(norms), 1)
+    logs[:, 0, 0] = np.log(c[:, 0])
+    return fwd, logs[..., 0], bwd, logs[:, 1:, 1]
 
 
 def _unchunk(out: np.ndarray, rows: np.ndarray, offset: int) -> np.ndarray:
     """Copy the step-major ``rows`` (size, R, ..., chunks) into ``out``
     (R, n, ...): step k of chunk j goes to index offset + j * size + k, as
-    far as ``out`` reaches. Returns ``out``."""
+    far as ``out`` reaches. The full chunks go through one view of ``out``
+    and the last chunk through another, with no copy in between. Returns
+    ``out``."""
+    size, chunks = rows.shape[0], rows.shape[-1]
     body = rows.transpose(1, -1, 0, *range(2, rows.ndim - 1))
-    body = body.reshape(out.shape[0], -1, *out.shape[2:])
-    span = min(out.shape[1] - offset, body.shape[1])
-    out[:, offset : offset + span] = body[:, :span]
+    full = offset + (chunks - 1) * size
+    out[:, offset:full].reshape(body[:, :-1].shape)[...] = body[:, :-1]
+    span = min(out.shape[1] - full, size)
+    out[:, full : full + span] = body[:, -1, :span]
     return out
 
 
@@ -343,9 +352,9 @@ def _checked_product(a: np.ndarray, b: np.ndarray, refuse) -> tuple:
     the second-to-last axis whose row sums to 0, in any lane, raises
     ``refuse(i)``."""
     prod = a * b
-    total = prod.sum(axis=-1, keepdims=True)
-    zero = (total == 0.0).reshape(-1, total.shape[-2]).any(axis=0)
-    if zero.any():
+    total = np.add.reduce(prod, -1, None, None, True)
+    if not total.all():
+        zero = (total == 0.0).reshape(-1, total.shape[-2]).any(axis=0)
         raise refuse(int(np.argmax(zero)))
     return prod, total
 
@@ -354,7 +363,7 @@ def _normalized_product(a: np.ndarray, b: np.ndarray, refuse) -> np.ndarray:
     """The rows of ``a * b`` (last axis), each divided by its sum; a row
     that sums to 0 raises as in ``_checked_product``."""
     prod, total = _checked_product(a, b, refuse)
-    return prod / total
+    return np.divide(prod, total, out=prod)
 
 
 def _backward_underflow(i: int) -> EvidenceImpossibleError:

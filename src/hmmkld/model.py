@@ -34,10 +34,13 @@ def _as_prob_rows(a, name: str, row_axes: int) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim not in (row_axes + 1, row_axes + 2) or a.shape[-1] < 1:
         raise ModelError(f"{name} must be a non-empty {row_axes + 1}-D array")
-    sums = a.sum(axis=-1)
+    sums = np.add.reduce(a, -1)
     # One pass for the common valid case: a NaN or infinite entry makes
     # its row sum fail the first test.
-    if (np.abs(sums - 1.0) <= PROB_TOL).all() and (a >= 0.0).all():
+    if (
+        np.maximum.reduce(np.abs(sums - 1.0), None, initial=0.0) <= PROB_TOL
+        and np.minimum.reduce(a, None, initial=0.0) >= 0.0
+    ):
         return a
     for bad, what in (
         (~np.isfinite(a).all(axis=-1), "has non-finite entries"),
@@ -96,16 +99,19 @@ class DiscreteEmission:
                 f"symbol out of range [0, {self.num_symbols}): "
                 f"{symbols[(symbols < 0) | (symbols >= self.num_symbols)][0]}"
             )
+        # The logs of the table, read at each symbol: one log per entry of
+        # the table rather than per observation.
+        with np.errstate(divide="ignore"):
+            log_table = np.log(self.table)
         if symbols.ndim == 1:
-            rows = self.table[..., symbols]
+            rows = log_table[..., symbols]
         else:
             # One series per lane: row s of lane r's table, which starts at
             # (r * m + s) * k in the flat table, reads lane r's symbols.
             lanes, m, k = self.table.shape
             starts = (np.arange(lanes * m) * k).reshape(lanes, m, 1)
-            rows = self.table.reshape(-1)[starts + symbols[:, None, :]]
-        with np.errstate(divide="ignore"):
-            return np.log(rows.swapaxes(-1, -2))
+            rows = log_table.reshape(-1)[starts + symbols[:, None, :]]
+        return rows.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -154,8 +160,13 @@ class GaussianEmission:
 
     def log_density_matrix(self, values: np.ndarray) -> np.ndarray:
         x = np.asarray(values, dtype=float)
-        z = (x[..., None] - self.means[..., None, :]) / self.sigmas[..., None, :]
-        return -0.5 * z * z - np.log(self.sigmas)[..., None, :] - _LOG_SQRT_2PI
+        z = x[..., None] - self.means[..., None, :]
+        z /= self.sigmas[..., None, :]
+        log_density = -0.5 * z
+        log_density *= z
+        log_density -= np.log(self.sigmas)[..., None, :]
+        log_density -= _LOG_SQRT_2PI
+        return log_density
 
 
 EmissionModel = Union[DiscreteEmission, GaussianEmission]
@@ -221,9 +232,7 @@ class ObservationSequence:
         values = np.asarray(self.values)
         if values.ndim != 1 or values.size < 1:
             raise ModelError("observations must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(values)):
-            bad = int(np.argmin(np.isfinite(values)))
-            raise ModelError(f"observation {bad} is not finite: {values[bad]}")
+        check_finite("observation", values)
         if self.labels is not None and len(self.labels) != values.size:
             raise ModelError("labels length does not match values")
         object.__setattr__(self, "values", values)
@@ -256,6 +265,15 @@ def check_count(name: str, value, least: int = 1) -> None:
         raise ModelError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ModelError(f"{name} must be >= {least}, got {value}")
+
+
+def check_finite(name: str, values: np.ndarray) -> None:
+    """Refuse with ``ModelError`` a 1-D ``values`` holding a NaN or an
+    infinity, naming the first one: ``{name} {index} is not finite: nan``."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ModelError(f"{name} {bad} is not finite: {values[bad]}")
 
 
 def check_plain(model: HmmModel, caller: str) -> None:

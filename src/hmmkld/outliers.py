@@ -16,7 +16,7 @@ from typing import Collection, Iterable, Iterator, List, Mapping, Optional, Sequ
 import numpy as np
 
 from .influence import kld_influence
-from .model import ModelError, ObservationSequence, check_count
+from .model import ModelError, ObservationSequence, check_count, check_finite
 from .training import DegenerateFitError, EmConfig, _fit_stack, _lane_map, kmeans_1d
 
 LOF_R_RANGE = (10, 20)
@@ -45,7 +45,11 @@ class ZScoreResult:
 
 
 def z_value_scores(values, k: int, seed) -> ZScoreResult:
-    """z-score of each point against the mean/std of its k-means cluster."""
+    """z-score of each point against the mean/std of its k-means cluster.
+
+    A NaN or infinite value is a ``ModelError`` naming the first one,
+    raised by ``kmeans_1d``.
+    """
     x = np.asarray(values, dtype=float)
     assign, _ = kmeans_1d(x, k, seed)
     z = np.empty_like(x)
@@ -108,8 +112,10 @@ class LofStatResult:
 
 def lof_statistic(values) -> LofStatResult:
     """Max-over-r LOF, r over LOF_R_RANGE, on (time, value) points with
-    both axes standardized."""
+    both axes standardized. A NaN or infinite value is a ``ModelError``
+    naming the first one."""
     x = np.asarray(values, dtype=float)
+    check_finite("value", x)
     n = x.size
     t = np.arange(n, dtype=float)
     pts = np.column_stack([_standardize(t), _standardize(x)])

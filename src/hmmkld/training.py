@@ -18,6 +18,7 @@ from .model import (
     ModelError,
     ObservationSequence,
     check_count,
+    check_finite,
     check_seed,
 )
 
@@ -36,9 +37,11 @@ def kmeans_1d(values, k: int, seed) -> tuple:
     """Lloyd's algorithm on 1-D data with k-means++ style seeding.
 
     Returns ``(assignments, means)`` with means sorted ascending and
-    assignments relabeled to match. Deterministic given the seed.
+    assignments relabeled to match. Deterministic given the seed. A NaN or
+    infinite value is a ``ModelError`` naming the first one.
     """
     x = np.asarray(values, dtype=float)
+    check_finite("value", x)
     check_count("k", k)
     if k > np.unique(x).size:
         raise ModelError(f"k={k} exceeds number of distinct values")
@@ -167,21 +170,34 @@ def _expected_transition_counts(model, fb) -> np.ndarray:
     alpha = model.transition
     ahead = (np.exp(fb.log_weights) * fb.bwd)[..., 1:, :]
     before = fb.fwd[..., :-1, :]
-    z = ((before @ alpha) * ahead).sum(axis=-1)
-    return alpha * ((before / z[..., None]).swapaxes(-1, -2) @ ahead)
+    joint = before @ alpha
+    joint *= ahead
+    z = np.add.reduce(joint, -1, None, None, True)
+    return alpha * (np.divide(before, z, out=joint).swapaxes(-1, -2) @ ahead)
 
 
-def _m_step(model, obs_values, cfg, counts, weights) -> HmmModel:
-    """Re-estimated lane model from each lane's expected transition counts
-    and posterior state marginals; ``model`` gives only the emission kind.
-    ``obs_values`` is one series for every lane, (n,), or one per lane, (R, n)."""
+def _m_step_data(model, values) -> np.ndarray:
+    """What ``_m_step`` reads of the series ``values`` (one for every lane,
+    (n,), or one per lane, (R, n)): the values themselves for Gaussian
+    emissions, their one-hot rows (..., n, k) for discrete ones. It does
+    not change while a round runs, so the round forms it once."""
+    if isinstance(model.emission, GaussianEmission):
+        return values
+    k = model.emission.num_symbols
+    return (values.astype(int)[..., None] == np.arange(k)).astype(float)
+
+
+def _m_step(model, data, cfg, counts, weights, state_weight) -> HmmModel:
+    """Re-estimated lane model from each lane's expected transition counts,
+    posterior state marginals and their sums over the index,
+    ``state_weight``; ``model`` gives only the emission kind and ``data``
+    is ``_m_step_data`` of the series."""
     m = cfg.num_states
     lanes, n = weights.shape[:-1]
-    state_weight = weights.sum(axis=-2)
 
     if cfg.tie_transitions:
         total = counts.reshape(lanes, -1).sum(axis=-1)
-        off_diag = total - np.trace(counts, axis1=-2, axis2=-1)
+        off_diag = total - counts.trace(axis1=-2, axis2=-1)
         transition = _tied_transition(off_diag / (n - 1), m)
     else:
         transition = counts / counts.sum(axis=-1, keepdims=True)
@@ -189,9 +205,11 @@ def _m_step(model, obs_values, cfg, counts, weights) -> HmmModel:
     initial = weights[:, 0] / weights[:, 0].sum(axis=-1, keepdims=True)
 
     if isinstance(model.emission, GaussianEmission):
-        x = obs_values
+        x = data
         means = (weights.swapaxes(-1, -2) @ x[..., None])[..., 0] / state_weight
-        weighted_sq = weights * (x[..., None] - means[:, None, :]) ** 2
+        weighted_sq = x[..., None] - means[:, None, :]
+        weighted_sq *= weighted_sq
+        weighted_sq *= weights
         if cfg.homoscedastic:
             var = weighted_sq.reshape(lanes, -1).sum(axis=-1) / n
             sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
@@ -201,9 +219,7 @@ def _m_step(model, obs_values, cfg, counts, weights) -> HmmModel:
             sigmas = np.maximum(np.sqrt(var), SIGMA_FLOOR)
         emission = GaussianEmission(means, sigmas)
     else:
-        k = model.emission.num_symbols
-        one_hot = obs_values.astype(int)[..., None] == np.arange(k)
-        table = weights.swapaxes(-1, -2) @ one_hot.astype(float)
+        table = weights.swapaxes(-1, -2) @ data
         table /= table.sum(axis=-1, keepdims=True)
         emission = DiscreteEmission(table)
 
@@ -270,16 +286,18 @@ def _fit_stack(stack: np.ndarray, cfg: EmConfig, seeds) -> list:
         starts = [_initial_model(stack[t // count], cfg, rngs[t]) for t in lanes]
         model = _lane_map(lambda *a: np.stack(a), *starts)
         values = stack[[t // count for t in lanes]]
+        data = _m_step_data(model, values)
         for t in lanes:
             traces[t] = []
         for _ in range(cfg.max_iters):
             fb = forward_backward(model, values)
             weights = posterior_marginals(fb)
             counts = _expected_transition_counts(model, fb)
+            state_weight = weights.sum(axis=-2)
             # The untied M-step divides a state's transition counts by its
             # weight over indices 0..n-2, so that weight must not vanish either.
-            held = weights if cfg.tie_transitions else weights[..., :-1, :]
-            starved = (held.sum(axis=-2) < _DEGENERATE_WEIGHT).any(axis=-1).tolist()
+            held = state_weight if cfg.tie_transitions else weights[..., :-1, :].sum(axis=-2)
+            starved = (held < _DEGENERATE_WEIGHT).any(axis=-1).tolist()
             step = []
             for j, (t, ll) in enumerate(zip(lanes, fb.log_evidence.tolist())):
                 trace = traces[t]
@@ -294,10 +312,11 @@ def _fit_stack(stack: np.ndarray, cfg: EmConfig, seeds) -> list:
                     step.append(j)
             if len(step) < len(lanes):
                 lanes = [lanes[j] for j in step]
-                values, counts, weights = values[step], counts[step], weights[step]
+                values, data = values[step], data[step]
+                counts, weights, state_weight = counts[step], weights[step], state_weight[step]
             if not lanes:
                 break
-            model = _m_step(model, values, cfg, counts, weights)
+            model = _m_step(model, data, cfg, counts, weights, state_weight)
         # Lanes still running reached max_iters: they keep their last M-step model.
         for j, t in enumerate(lanes):
             fitted[t] = _lane_map(lambda a: a[j], model)

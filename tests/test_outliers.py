@@ -64,6 +64,13 @@ class TestZValueScores:
         assert result.degenerate
         assert np.all(np.isfinite(result.scores))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        values = np.linspace(0.0, 1.0, 40)
+        values[[17, 30]] = bad
+        with pytest.raises(ModelError, match=f"^value 17 is not finite: {bad}$"):
+            z_value_scores(values, k=3, seed=0)
+
     def test_injected_outliers_raise_hit_rate(self):
         # A lone extreme point becomes a singleton cluster with zero
         # spread, so z localization only works when outliers share a
@@ -163,6 +170,14 @@ class TestLofStatistic:
     def test_too_short_series_raises(self):
         with pytest.raises(ModelError):
             lof_statistic(np.arange(8.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        # Either used to give NaN scores behind RuntimeWarnings.
+        values = np.linspace(0.0, 1.0, 40)
+        values[[17, 30]] = bad
+        with pytest.raises(ModelError, match=f"^value 17 is not finite: {bad}$"):
+            lof_statistic(values)
 
     def test_injected_outlier_attains_maximum(self):
         rng = np.random.default_rng(9)
