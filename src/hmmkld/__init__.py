@@ -12,7 +12,6 @@ from .inference import ForwardBackward, forward_backward, posterior_marginals
 from .influence import (
     InfluenceProfile,
     LeaveOneOutImpossibleError,
-    StarForward,
     WindowInfluenceProfile,
     forward_star,
     kl_divergence,
@@ -72,7 +71,6 @@ __all__ = [
     "RocResult",
     "ScoredReplicate",
     "SimulationConfig",
-    "StarForward",
     "WindowInfluenceProfile",
     "ZScoreResult",
     "canonical_state_order",

@@ -2,10 +2,13 @@
 
 Forward and backward vectors are kept in per-index rescaled form: each
 forward row is normalized to sum to one and each backward row is divided
-by its own maximum, with cumulative log normalizers tracked separately.
-Emission weights are computed in log space and exponentiated after
-subtracting the per-index maximum, so Gaussian densities far above one
-never overflow the linear-space recursions.
+by its own maximum. Every reader of the rows (posterior and leave-out
+marginals, expected transition counts, windowed influence) normalizes
+them again, so a row matters only up to its own positive factor, and
+only the log evidence keeps the normalizers, summed. Emission weights are
+computed in log space and exponentiated after subtracting the per-index
+maximum, so Gaussian densities far above one never overflow the
+linear-space recursions.
 
 The recursions run as a two-level chunked pass, in O(sqrt(n)) numpy steps
 rather than one step per index and direction, with O(n) work. The n - 1
@@ -38,39 +41,26 @@ from .model import EvidenceImpossibleError, HmmModel, ObservationSequence
 class ForwardBackward:
     """Scaled forward/backward vectors for one observation sequence.
 
-    The unscaled quantities are recovered as
-    ``F_i(s) = fwd[i, s] * exp(log_scale_fwd[i])`` and
-    ``B_i(s) = bwd[i, s] * exp(log_scale_bwd[i])``.
+    Row i of ``fwd`` is the forward vector F_i(s) = P(e_0..e_i, s_i = s)
+    divided by its sum, and row i of ``bwd`` the backward vector
+    B_i(s) = P(e_{i+1}..e_{n-1} | s_i = s) divided by its maximum (the last
+    row is all ones). ``log_evidence`` is log P(e_0..e_{n-1}).
     ``log_weights`` holds each index's log emission weights less their
     maximum, the scaled weights the recursions ran on, so every row peaks
-    at exactly 0; the maxima sit in the log scales.
+    at exactly 0.
 
     For a lane model, or a stack of series, every field carries the
-    leading lane axis: ``fwd`` is (R, n, m), ``log_scale_fwd`` (R, n) and
-    ``log_evidence`` an array of R values. ``len(fb)`` is n either way.
+    leading lane axis: ``fwd`` is (R, n, m) and ``log_evidence`` an array
+    of R values. ``len(fb)`` is n either way.
     """
 
     fwd: np.ndarray
-    log_scale_fwd: np.ndarray
     bwd: np.ndarray
-    log_scale_bwd: np.ndarray
     log_evidence: Union[float, np.ndarray]
     log_weights: np.ndarray
 
     def __len__(self) -> int:
         return self.fwd.shape[-2]
-
-    def log_evidence_at(self, i: int):
-        """log sum_s F_i(s) B_i(s), reconstructed from the scaled rows.
-
-        Equals ``log_evidence`` for every i; exposed for consistency checks.
-        The evidence is positive, so a sum of 0 is underflow and raises
-        ``EvidenceImpossibleError``, as ``posterior_marginals`` does.
-        """
-        _, total = _checked_product(
-            self.fwd[..., i, None, :], self.bwd[..., i, None, :], lambda _: _backward_underflow(i)
-        )
-        return np.log(total[..., 0, 0]) + self.log_scale_fwd[..., i] + self.log_scale_bwd[..., i]
 
 
 def forward_backward(
@@ -103,55 +93,39 @@ def forward_backward(
     log_w = logw - offsets[..., None]
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        fwd, log_c, bwd, log_d = _chunked_pass(initial, alpha, log_w)
+        fwd, c, bwd, d = _chunked_pass(initial, alpha, log_w)
         # A normalizer of 0, or NaN after a 0, in either direction marks a
         # lane whose evidence is impossible or underflowed: the log-space
-        # pass decides which, and replaces all of that lane's rows. No log
-        # normalizer is +inf, so a lane's sum of them is -inf or NaN
-        # exactly when one of them is.
-        stuck = ~(np.add.reduce(log_c, 1) + np.add.reduce(log_d, 1) > -np.inf)
+        # pass decides which, and replaces all of that lane's rows.
+        every = np.logical_and.reduce
+        stuck = ~(every(c > 0.0, 1) & every(d > 0.0, 1))
+        log_c = np.log(c)
         if stuck.any():
-            fwd[stuck], log_c[stuck], bwd[stuck], log_d[stuck] = _log_space_pass(
+            fwd[stuck], log_c[stuck], bwd[stuck] = _log_space_pass(
                 initial[stuck], alpha[stuck], log_w[stuck]
             )
 
-    # Cumulative log scales as running sums of interleaved terms, which
-    # adds them in the order L_i = (L_{i-1} + log c_i) + offset_i.
+    # The last of the running sums of interleaved terms, which adds them in
+    # the order L_i = (L_{i-1} + log c_i) + offset_i (np.add.reduce would
+    # sum pairwise, and move the last bits).
     num_lanes, n = offsets.shape
     terms = np.empty((num_lanes, 2 * n))
     terms[:, 0::2] = log_c
     terms[:, 1::2] = offsets
-    log_scale_fwd = np.ascontiguousarray(np.add.accumulate(terms, axis=1)[:, 1::2])
-    log_scale_bwd = np.zeros((num_lanes, n))
-    if n > 1:
-        terms = terms[:, : 2 * (n - 1)]
-        terms[:, 0::2] = log_d[:, ::-1]
-        terms[:, 1::2] = offsets[:, :0:-1]
-        log_scale_bwd[:, -2::-1] = np.add.accumulate(terms, axis=1)[:, 1::2]
-
+    log_evidence = np.add.accumulate(terms, axis=1)[:, -1].copy()
     if model.lanes is None:
-        fwd, log_scale_fwd, bwd, log_scale_bwd, log_w = (
-            a[0] for a in (fwd, log_scale_fwd, bwd, log_scale_bwd, log_w)
-        )
-    log_evidence = log_scale_fwd[..., n - 1]
-    return ForwardBackward(
-        fwd=fwd,
-        log_scale_fwd=log_scale_fwd,
-        bwd=bwd,
-        log_scale_bwd=log_scale_bwd,
-        log_evidence=float(log_evidence) if model.lanes is None else log_evidence,
-        log_weights=log_w,
-    )
+        return ForwardBackward(fwd[0], bwd[0], float(log_evidence[0]), log_w[0])
+    return ForwardBackward(fwd, bwd, log_evidence, log_w)
 
 
 def _chunked_pass(initial: np.ndarray, alpha: np.ndarray, log_w: np.ndarray):
     """The scaled recursions for R lanes: ``initial`` is (R, m), ``alpha``
     (R, m, m) and ``log_w`` the logs of the scaled emission weights, (R, n, m).
 
-    Returns the forward rows (R, n, m) with the logs of their sum
-    normalizers c, (R, n), and the backward rows (R, n, m) with the logs of
-    their max normalizers d, (R, n - 1). A normalizer of 0 makes the rows
-    after it NaN, and the logs of theirs too.
+    Returns the forward rows (R, n, m) with their sum normalizers c, (R, n),
+    and the backward rows (R, n, m) with their max normalizers d, (R, n - 1):
+    c_i and d_i divide row i. A normalizer of 0 makes the rows after it
+    NaN, and their normalizers too.
     """
     num_lanes, n, m = log_w.shape
     add, biggest = np.add.reduce, np.maximum.reduce
@@ -161,7 +135,7 @@ def _chunked_pass(initial: np.ndarray, alpha: np.ndarray, log_w: np.ndarray):
     c = add(first, -1, None, None, True)
     first /= c
     if n == 1:
-        return fwd, np.log(c), np.ones((num_lanes, 1, m)), np.zeros((num_lanes, 0))
+        return fwd, c, np.ones((num_lanes, 1, m)), np.zeros((num_lanes, 0))
 
     # Step i = 1 + j * size + k, for k < size, is M_i = alpha * w_i (the
     # weights scale the columns): f_i is f_{i-1} M_i and b_{i-1} is M_i b_i,
@@ -283,10 +257,10 @@ def _chunked_pass(initial: np.ndarray, alpha: np.ndarray, log_w: np.ndarray):
     bwd = np.empty((num_lanes, n, m))
     bwd[:, -1] = 1.0
     _unchunk(bwd, rows, 0)
-    # log c_i and log d_{i-1} at index i.
-    logs = _unchunk(np.empty((num_lanes, n, 2)), np.log(norms), 1)
-    logs[:, 0, 0] = np.log(c[:, 0])
-    return fwd, logs[..., 0], bwd, logs[:, 1:, 1]
+    # c_i and d_{i-1} at index i.
+    norms = _unchunk(np.empty((num_lanes, n, 2)), norms, 1)
+    norms[:, 0, 0] = c[:, 0]
+    return fwd, norms[..., 0], bwd, norms[:, 1:, 1]
 
 
 def _unchunk(out: np.ndarray, rows: np.ndarray, offset: int) -> np.ndarray:
@@ -311,8 +285,8 @@ def _log_space_pass(initial: np.ndarray, alpha: np.ndarray, log_w: np.ndarray):
 
     It serves the lanes whose chunked pass met a normalizer of 0. A forward
     normalizer that is 0 here too is impossible evidence; otherwise no
-    backward row is 0 in every state. Returns ``fwd, log_c, bwd, log_d`` as
-    ``_chunked_pass`` does.
+    backward row is 0 in every state. Returns the forward rows, the logs of
+    their sum normalizers and the backward rows.
     """
     num_lanes, n, m = log_w.shape
     log_alpha = np.log(alpha)
@@ -329,15 +303,12 @@ def _log_space_pass(initial: np.ndarray, alpha: np.ndarray, log_w: np.ndarray):
         fwd[:, i] = np.exp(row)
         log_c[:, i] = total
     bwd = np.ones((num_lanes, n, m))
-    log_d = np.empty((num_lanes, n - 1))
     row = np.zeros((num_lanes, m))
     for i in range(n - 2, -1, -1):
         row = _logsumexp(log_alpha + (log_w[:, i + 1] + row)[:, None, :])
-        top = row.max(axis=-1)
-        row -= top[:, None]
+        row -= row.max(axis=-1, keepdims=True)
         bwd[:, i] = np.exp(row)
-        log_d[:, i] = top
-    return fwd, log_c, bwd, log_d
+    return fwd, log_c, bwd
 
 
 def _logsumexp(z: np.ndarray) -> np.ndarray:

@@ -28,19 +28,6 @@ class LeaveOneOutImpossibleError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class StarForward:
-    """Forward vectors with the current index's emission factor omitted.
-
-    Row i is the propagation of the scaled forward row i-1 through the
-    transition matrix (row 0 is the initial distribution), so it shares
-    the cumulative log scale of forward row i-1.
-    """
-
-    fstar: np.ndarray
-    log_scale: np.ndarray
-
-
-@dataclass(frozen=True)
 class InfluenceProfile:
     """Per-observation influence values and the marginals behind them."""
 
@@ -63,15 +50,15 @@ class WindowInfluenceProfile:
         return self.k.size
 
 
-def forward_star(model: HmmModel, fb: ForwardBackward) -> StarForward:
-    """Emission-free forward recursion driven by the standard forward rows."""
-    return StarForward(
-        fstar=np.concatenate(
-            [model.initial[..., None, :], fb.fwd[..., :-1, :] @ model.transition], axis=-2
-        ),
-        log_scale=np.concatenate(
-            [np.zeros_like(fb.log_scale_fwd[..., :1]), fb.log_scale_fwd[..., :-1]], axis=-1
-        ),
+def forward_star(model: HmmModel, fb: ForwardBackward) -> np.ndarray:
+    """Forward rows with the current index's emission factor omitted, (..., n, m).
+
+    Row i is the scaled forward row i - 1 propagated through the transition
+    matrix (row 0 is the initial distribution): the law of the state at i
+    given the observations before i, up to the row's own positive factor.
+    """
+    return np.concatenate(
+        [model.initial[..., None, :], fb.fwd[..., :-1, :] @ model.transition], axis=-2
     )
 
 
@@ -79,10 +66,15 @@ def _leave_out_impossible(j: int) -> LeaveOneOutImpossibleError:
     return LeaveOneOutImpossibleError(f"impossible leave-out evidence at index {j}")
 
 
-def loo_marginal(star: StarForward, fb: ForwardBackward, j: int) -> np.ndarray:
-    """Posterior marginal of the hidden state at j given all other observations."""
+def loo_marginal(fstar: np.ndarray, fb: ForwardBackward, j: int) -> np.ndarray:
+    """Posterior marginal of the hidden state at j given all other observations,
+    from the star forward rows of ``forward_star``. Refuses with
+    ``ModelError`` a j outside [0, n - 1]."""
+    check_count("j", j, least=0)
+    if j >= len(fb):
+        raise ModelError(f"j must be <= {len(fb) - 1}, got {j}")
     return _normalized_product(
-        star.fstar[..., j, None, :], fb.bwd[..., j, None, :], lambda _: _leave_out_impossible(j)
+        fstar[..., j, None, :], fb.bwd[..., j, None, :], lambda _: _leave_out_impossible(j)
     )[..., 0, :]
 
 
@@ -116,9 +108,8 @@ def kld_influence(model: HmmModel, obs: ObservationSequence | np.ndarray) -> Inf
     """Influence of every observation in one O(n m^2) pass. A lane model's
     profile, on one series or an (R, n) stack, is its lanes' own bit for bit."""
     fb = forward_backward(model, obs)
-    star = forward_star(model, fb)
     marg = posterior_marginals(fb)
-    loo = _normalized_product(star.fstar, fb.bwd, _leave_out_impossible)
+    loo = _normalized_product(forward_star(model, fb), fb.bwd, _leave_out_impossible)
     rows = zip(np.moveaxis(loo, -2, 0), np.moveaxis(marg, -2, 0))  # one call per index, all lanes
     k = np.moveaxis(np.array([kl_divergence(p, q) for p, q in rows]), 0, -1)
     return InfluenceProfile(k=k, loo_marginals=loo, marginals=marg)
@@ -168,7 +159,7 @@ def windowed_influence(
             top = vb[0].max(axis=1, keepdims=True)  # 0 where v underflowed: refused below
             np.divide(vb, top, out=vb, where=top > 0.0)
             log_v += np.log(top[:, 0])
-        fstar = forward_star(model, fb).fstar[:num_windows]
+        fstar = forward_star(model, fb)[:num_windows]
         total = _checked_product(fstar, vb[0], _leave_out_impossible)[1][:, 0]
         log_f = np.log(fstar) + log_w[:num_windows]
         log_gain = _logsumexp(log_f + log_u)

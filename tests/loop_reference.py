@@ -99,27 +99,16 @@ def forward_backward_loop(model: HmmModel, obs: ObservationSequence) -> ForwardB
         raise EvidenceImpossibleError(f"impossible evidence at index {bad}")
     # Every forward normalizer is positive, so the evidence is too, and a
     # zero backward normalizer is underflow: those lanes run the pass again.
-    with np.errstate(divide="ignore"):
-        log_d = np.log(d[:-1])
     under = ~d[:-1].all(axis=0)
     if under.any():
-        bwd[:, under], log_d[:, under] = _rescaled_backward_loop(alpha[under], w_col[:, under])
+        bwd[:, under] = _rescaled_backward_loop(alpha[under], w_col[:, under])
 
-    # Cumulative log scales as running sums of interleaved terms, which
-    # adds them in the order L_i = (L_{i-1} + log c_i) + offset_i.
-    offsets = offsets.T
+    # The log evidence as the last of the running sums of interleaved
+    # terms, which adds them in the order L_i = (L_{i-1} + log c_i) + offset_i.
     terms = np.empty((2 * n, num_lanes))
     terms[0::2] = np.log(c)
-    terms[1::2] = offsets
-    log_scale_fwd = np.add.accumulate(terms, axis=0)[1::2]
-    log_scale_bwd = np.zeros((n, num_lanes))
-    if n > 1:
-        terms = terms[: 2 * (n - 1)]
-        # The log ran on the contiguous rows: numpy's vectorized log and
-        # its strided fallback can differ in the last bit.
-        terms[0::2] = log_d[::-1]
-        terms[1::2] = offsets[:0:-1]
-        log_scale_bwd[-2::-1] = np.add.accumulate(terms, axis=0)[1::2]
+    terms[1::2] = offsets.T
+    log_evidence = np.add.accumulate(terms, axis=0)[-1]
 
     # Back to the caller's layout: lane axis first, or none for a plain model.
     if model.lanes is None:
@@ -129,30 +118,24 @@ def forward_backward_loop(model: HmmModel, obs: ObservationSequence) -> ForwardB
         def out(a):
             return np.ascontiguousarray(a.swapaxes(0, 1))
 
-    log_scale_fwd = out(log_scale_fwd)
-    log_evidence = log_scale_fwd[..., n - 1]
     return ForwardBackward(
         fwd=out(fwd.reshape(n, num_lanes, m)),
-        log_scale_fwd=log_scale_fwd,
         bwd=out(bwd.reshape(n, num_lanes, m)),
-        log_scale_bwd=out(log_scale_bwd),
-        log_evidence=float(log_evidence) if model.lanes is None else log_evidence,
+        log_evidence=float(log_evidence[0]) if model.lanes is None else log_evidence,
         log_weights=log_w[0] if model.lanes is None else log_w,
     )
 
 
 def _rescaled_backward_loop(alpha: np.ndarray, w_col: np.ndarray):
     """The backward pass with each ``v = w[i+1]·b[i+1]`` divided by its
-    maximum before the matmul, the log of which joins that step's log
-    normalizer. It serves the lanes whose plain pass underflowed to 0 in
-    every state; a 0 here too raises ``EvidenceImpossibleError``.
+    maximum before the matmul. It serves the lanes whose plain pass
+    underflowed to 0 in every state; a 0 here too raises
+    ``EvidenceImpossibleError``.
 
-    Returns the rows, shape (n, R, m, 1), and the log normalizers, shape
-    (n - 1, R).
+    Returns the rows, shape (n, R, m, 1).
     """
-    n, num_lanes = w_col.shape[:2]
+    n = w_col.shape[0]
     bwd = np.ones(w_col.shape)
-    log_d = np.empty((n - 1, num_lanes))
     # v can underflow to 0 too, and 0/0 then fails the test below.
     with np.errstate(invalid="ignore"):
         for i in range(n - 2, -1, -1):
@@ -165,8 +148,7 @@ def _rescaled_backward_loop(alpha: np.ndarray, w_col: np.ndarray):
                     f"the backward pass underflowed after index {i}"
                 )
             bwd[i] = row / d_i
-            log_d[i] = (np.log(d_i) + np.log(top))[:, 0, 0]
-    return bwd, log_d
+    return bwd
 
 
 def sample_loop(model, n, seed) -> tuple:

@@ -20,7 +20,7 @@ from hmmkld.reference import (
     enumeration_log_evidence,
     enumeration_marginals,
 )
-from hmmkld.training import _lane_map
+from hmmkld.training import _expected_transition_counts, _lane_map
 
 from conftest import (
     BELOW_DOUBLE_RANGE,
@@ -93,16 +93,6 @@ class TestForwardBackward:
         fb = forward_backward(model, obs)
         np.testing.assert_allclose(fb.fwd.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_evidence_constant_across_indices(self, rng):
-        # sum_s F_i(s) B_i(s) reconstructs P(E) at every index.
-        model = random_gaussian_model(rng, 3)
-        obs = ObservationSequence(rng.normal(0, 2, 40))
-        fb = forward_backward(model, obs)
-        for i in range(len(fb)):
-            assert fb.log_evidence_at(i) == pytest.approx(
-                fb.log_evidence, abs=1e-9
-            )
-
     def test_no_overflow_with_tiny_sigma(self):
         model = HmmModel(
             [0.5, 0.5],
@@ -147,8 +137,6 @@ class TestForwardBackward:
         assert fb.log_evidence == pytest.approx(
             enumeration_log_evidence(model, obs), abs=1e-9
         )
-        for i in range(len(fb)):
-            assert fb.log_evidence_at(i) == pytest.approx(fb.log_evidence, abs=1e-9)
         np.testing.assert_allclose(
             posterior_marginals(fb), enumeration_marginals(model, obs), atol=1e-12
         )
@@ -168,9 +156,7 @@ class TestForwardBackward:
         # rows then equals the enumeration.
         model, obs = FORWARD_BELOW_DOUBLE_RANGE, ObservationSequence(np.array([0, 1, 0]))
         fb = forward_backward(model, obs)
-        expected = enumeration_log_evidence(model, obs)
-        for i in range(len(fb)):
-            assert fb.log_evidence_at(i) == pytest.approx(expected, abs=1e-9)
+        assert fb.log_evidence == pytest.approx(enumeration_log_evidence(model, obs), abs=1e-9)
         np.testing.assert_allclose(
             posterior_marginals(fb), enumeration_marginals(model, obs), atol=1e-9
         )
@@ -196,7 +182,7 @@ class TestForwardBackward:
         marg = posterior_marginals(both)
         for r, model in enumerate(models):
             alone = forward_backward(model, obs)
-            for field in ("fwd", "bwd", "log_scale_fwd", "log_scale_bwd"):
+            for field in ("fwd", "bwd"):
                 np.testing.assert_array_equal(getattr(both, field)[r], getattr(alone, field))
             assert both.log_evidence[r] == alone.log_evidence
             np.testing.assert_array_equal(marg[r], posterior_marginals(alone))
@@ -217,8 +203,6 @@ class TestForwardBackward:
         assert enumeration_log_evidence(model, obs) == pytest.approx(expected)
         fb = forward_backward(model, obs)
         assert fb.log_evidence == pytest.approx(expected, abs=1e-9)
-        for i in range(len(fb)):
-            assert fb.log_evidence_at(i) == pytest.approx(expected, abs=1e-9)
         np.testing.assert_allclose(
             posterior_marginals(fb), enumeration_marginals(model, obs), atol=1e-12
         )
@@ -255,19 +239,21 @@ class TestPosteriorMarginals:
         np.testing.assert_allclose(marg.sum(axis=1), 1.0, atol=1e-12)
 
     def test_invariant_under_row_rescaling(self, rng):
-        # Scaling a forward row and compensating the accumulator leaves
-        # the normalized marginals untouched.
+        # Scaling each forward and backward row by its own positive factor
+        # leaves the normalized marginals and the expected transition
+        # counts untouched: their readers need the rows only up to scale.
         model = random_gaussian_model(rng, 3)
         obs = ObservationSequence(rng.normal(0, 1, 12))
         fb = forward_backward(model, obs)
-        base = posterior_marginals(fb)
-        scales = rng.uniform(0.5, 2.0, 12)
-        scaled = dataclasses.replace(
-            fb,
-            fwd=fb.fwd * scales[:, None],
-            log_scale_fwd=fb.log_scale_fwd - np.log(scales),
+        cf, cb = rng.uniform(0.25, 4.0, (2, 12))
+        scaled = dataclasses.replace(fb, fwd=fb.fwd * cf[:, None], bwd=fb.bwd * cb[:, None])
+        np.testing.assert_allclose(posterior_marginals(scaled), posterior_marginals(fb), atol=1e-12)
+        np.testing.assert_allclose(
+            _expected_transition_counts(model, scaled),
+            _expected_transition_counts(model, fb),
+            rtol=0.0,
+            atol=1e-12,
         )
-        np.testing.assert_allclose(posterior_marginals(scaled), base, atol=1e-12)
 
     def test_zero_row_is_backward_underflow(self, rng):
         # The forward row [1, 0] meets the backward row [0, 1] at index 0.

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hmmkld import influence
 from hmmkld import (
     DiscreteEmission,
     EvidenceImpossibleError,
@@ -48,7 +49,7 @@ class TestForwardStar:
         obs = ObservationSequence(np.array([0.5, -1.0, 2.0]))
         fb = forward_backward(model, obs)
         star = forward_star(model, fb)
-        np.testing.assert_allclose(star.fstar, 1.0)
+        np.testing.assert_allclose(star, 1.0)
 
     def test_reconstructs_forward_rows(self, rng):
         # Multiplying the star row by the emission weights recovers the
@@ -59,7 +60,7 @@ class TestForwardStar:
         star = forward_star(model, fb)
         w = np.exp(fb.log_weights)
         for i in range(len(fb)):
-            prod = star.fstar[i] * w[i]
+            prod = star[i] * w[i]
             np.testing.assert_allclose(
                 prod / prod.sum(), fb.fwd[i], atol=1e-12
             )
@@ -163,9 +164,10 @@ class TestKldInfluence:
         np.testing.assert_allclose(profile.loo_marginals.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(profile.marginals.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_rescaling_invariance(self, rng):
+    def test_rescaling_invariance(self, rng, monkeypatch):
         # Per-index positive rescaling of forward, star-forward and
-        # backward rows cancels out of the influence values.
+        # backward rows cancels out of the influence values, and of the
+        # windowed ones, which read the rows of the pass alone.
         model = random_gaussian_model(rng, 3)
         obs = ObservationSequence(rng.normal(0, 1, 20))
         fb = forward_backward(model, obs)
@@ -177,21 +179,19 @@ class TestKldInfluence:
         cf = rng.uniform(0.25, 4.0, 20)
         cb = rng.uniform(0.25, 4.0, 20)
         cs = rng.uniform(0.25, 4.0, 20)
-        fb2 = dataclasses.replace(
-            fb,
-            fwd=fb.fwd * cf[:, None],
-            log_scale_fwd=fb.log_scale_fwd - np.log(cf),
-            bwd=fb.bwd * cb[:, None],
-            log_scale_bwd=fb.log_scale_bwd - np.log(cb),
-        )
-        star2 = dataclasses.replace(
-            star, fstar=star.fstar * cs[:, None], log_scale=star.log_scale - np.log(cs)
-        )
+        fb2 = dataclasses.replace(fb, fwd=fb.fwd * cf[:, None], bwd=fb.bwd * cb[:, None])
+        star2 = star * cs[:, None]
         marg2 = posterior_marginals(fb2)
         k2 = np.array(
             [kl_divergence(loo_marginal(star2, fb2, j), marg2[j]) for j in range(20)]
         )
         np.testing.assert_allclose(k2, base_k, atol=1e-10)
+
+        windows = {h: windowed_influence(model, obs, h).k for h in range(1, 6)}
+        monkeypatch.setattr(influence, "forward_backward", lambda *_: fb2)
+        for h, k in windows.items():
+            moved = np.abs(windowed_influence(model, obs, h).k - k)
+            assert (moved <= 1e-12 * np.maximum(1.0, k)).all(), h
 
     def test_zero_ratio_conventions(self):
         assert kl_divergence(np.array([0.0, 1.0]), np.array([0.5, 0.5])) == (

@@ -10,8 +10,11 @@ from hmmkld import (
     ObservationSequence,
     SimulationConfig,
     empirical_auc,
+    forward_backward,
+    forward_star,
     kmeans_1d,
     lof_scores,
+    loo_marginal,
     sample,
     simulate,
     windowed_influence,
@@ -248,6 +251,13 @@ class TestSample:
 SOURCE = np.linspace(-1.0, 1.0, 60)
 
 
+def loo_at(j):
+    """``loo_marginal`` at j on three observations."""
+    model = two_state_discrete()
+    fb = forward_backward(model, ObservationSequence([0, 1, 0]))
+    return loo_marginal(forward_star(model, fb), fb, j)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -265,6 +275,9 @@ SOURCE = np.linspace(-1.0, 1.0, 60)
         (lambda: sample(two_state_discrete(), 0, 0), "n must be >= 1, got 0"),
         (lambda: windowed_influence(two_state_discrete(), ObservationSequence([0, 1, 0]), 2.5),
          "h must be an integer, got 2.5"),
+        (lambda: loo_at(-1), "j must be >= 0, got -1"),
+        (lambda: loo_at(3), "j must be <= 2, got 3"),
+        (lambda: loo_at(2.5), "j must be an integer, got 2.5"),
         (lambda: lof_scores(np.zeros((5, 2)), 2.5), "r must be an integer, got 2.5"),
         (lambda: lof_scores(np.zeros((5, 2)), True), "r must be an integer, got True"),
         (lambda: simulate(SimulationConfig(source=SOURCE), None, -1),
@@ -272,7 +285,8 @@ SOURCE = np.linspace(-1.0, 1.0, 60)
     ],
     ids=["em-float-seed", "em-bool-seed", "em-generator-seed", "simulation-seedsequence",
          "auc-float-seed", "sample-float-seed", "sample-numpy-bool-seed", "kmeans-float-seed",
-         "sample-float-n", "sample-zero-n", "window-float-h", "lof-float-r", "lof-bool-r",
+         "sample-float-n", "sample-zero-n", "window-float-h", "loo-negative-j",
+         "loo-j-past-the-end", "loo-float-j", "lof-float-r", "lof-bool-r",
          "simulate-negative-replicate"],
 )
 def test_bad_integer_argument_is_model_error(call, message):
