@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .influence import LeaveOneOutImpossibleError, check_window, kld_influence, windowed_influence
+from .influence import LeaveOneOutImpossibleError, kld_influence, windowed_influence
 from .model import EvidenceImpossibleError, ModelError, check_count
 from .outliers import (
     METHODS,
@@ -144,7 +144,7 @@ def cmd_train(args, manifest: _Manifest) -> None:
 def cmd_influence(args, manifest: _Manifest) -> None:
     model = read_model(args.model)
     obs = read_observations(args.data)
-    _config(check_window, name="--window", h=args.window, n=len(obs))
+    _config(check_count, name="--window", value=args.window, most=len(obs))
     manifest.phase("load")
     if args.window == 1:
         text = influence_tsv(kld_influence(model, obs), obs.label_list())

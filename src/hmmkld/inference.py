@@ -34,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import EvidenceImpossibleError, HmmModel, ObservationSequence
+from .model import EvidenceImpossibleError, HmmModel, ObservationSequence, check_finite
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,8 @@ def forward_backward(
     lane on its own series.
     The chunk length depends on n alone, so every lane's rows are
     bit-identical to a separate call on that lane and its series alone.
+    An index that no state can emit raises ``EvidenceImpossibleError``, or
+    ``ModelError`` when its value is a NaN or an infinity.
     """
     values = obs.values if isinstance(obs, ObservationSequence) else obs
     logw = model.log_emission_matrix(values)
@@ -85,8 +87,9 @@ def forward_backward(
     initial = model.initial.reshape(-1, m)
     alpha = model.transition.reshape(-1, m, m)
     offsets = logw.max(axis=-1)
-    if (offsets == -np.inf).any():
-        bad = int(np.argmax((offsets == -np.inf).any(axis=0)))
+    if not (offsets > -np.inf).all():  # NaN too: a NaN value gives a NaN row
+        bad = int(np.argmax((~(offsets > -np.inf)).any(axis=0)))
+        check_finite("observation", np.asarray(values)[..., : bad + 1])
         raise EvidenceImpossibleError(
             f"observation {bad} has zero probability in every state"
         )

@@ -14,7 +14,7 @@ import numpy as np
 
 from .inference import ForwardBackward, _checked_product, _logsumexp, _normalized_product
 from .inference import forward_backward, posterior_marginals
-from .model import HmmModel, ModelError, ObservationSequence, check_count, check_plain
+from .model import HmmModel, ObservationSequence, check_count, check_plain
 
 
 class LeaveOneOutImpossibleError(ArithmeticError):
@@ -70,9 +70,7 @@ def loo_marginal(fstar: np.ndarray, fb: ForwardBackward, j: int) -> np.ndarray:
     """Posterior marginal of the hidden state at j given all other observations,
     from the star forward rows of ``forward_star``. Refuses with
     ``ModelError`` a j outside [0, n - 1]."""
-    check_count("j", j, least=0)
-    if j >= len(fb):
-        raise ModelError(f"j must be <= {len(fb) - 1}, got {j}")
+    check_count("j", j, least=0, most=len(fb) - 1)
     return _normalized_product(
         fstar[..., j, None, :], fb.bwd[..., j, None, :], lambda _: _leave_out_impossible(j)
     )[..., 0, :]
@@ -115,13 +113,6 @@ def kld_influence(model: HmmModel, obs: ObservationSequence | np.ndarray) -> Inf
     return InfluenceProfile(k=k, loo_marginals=loo, marginals=marg)
 
 
-def check_window(name: str, h, n: int) -> None:
-    """Refuse with ``ModelError`` a window length ``h`` outside [1, n]."""
-    check_count(name, h)
-    if h > n:
-        raise ModelError(f"{name} must be <= {n}, got {h}")
-
-
 def windowed_influence(
     model: HmmModel, obs: ObservationSequence, h: int
 ) -> WindowInfluenceProfile:
@@ -136,7 +127,7 @@ def windowed_influence(
     O(h m^2) per window and O(n m) memory whatever h is.
     """
     check_plain(model, "windowed_influence")
-    check_window("h", h, len(obs))
+    check_count("h", h, most=len(obs))
     fb = forward_backward(model, obs)
     alpha_t = model.transition.T
     num_windows = len(obs) - h + 1

@@ -90,6 +90,7 @@ class DiscreteEmission:
     def log_density_matrix(self, values: np.ndarray) -> np.ndarray:
         symbols = np.asarray(values)
         if not np.issubdtype(symbols.dtype, np.integer):
+            check_finite("observation", symbols)
             rounded = np.rint(symbols)
             if np.any(rounded != symbols):
                 raise ModelError("discrete observations must be integer symbols")
@@ -257,23 +258,28 @@ def check_seed(seed):
     return seed
 
 
-def check_count(name: str, value, least: int = 1) -> None:
-    """Refuse with ``ModelError`` a ``value`` that is not an integer >=
-    ``least``: counts are at least 1, indices and seeds at least 0. A bool
-    is not an integer."""
+def check_count(name: str, value, least: int = 1, most: Optional[int] = None) -> None:
+    """Refuse with ``ModelError`` a ``value`` that is not an integer in
+    [``least``, ``most``], or >= ``least`` when ``most`` is None: counts are
+    at least 1, indices and seeds at least 0. A bool is not an integer."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ModelError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ModelError(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ModelError(f"{name} must be <= {most}, got {value}")
 
 
 def check_finite(name: str, values: np.ndarray) -> None:
     """Refuse with ``ModelError`` a 1-D ``values`` holding a NaN or an
-    infinity, naming the first one: ``{name} {index} is not finite: nan``."""
+    infinity, naming the first one: ``{name} {index} is not finite: nan``.
+    On a 2-D stack of series it names the row too, row by row:
+    ``{name} {index} of row {row} is not finite: nan``."""
     finite = np.isfinite(values)
     if not finite.all():
-        bad = int(np.argmin(finite))
-        raise ModelError(f"{name} {bad} is not finite: {values[bad]}")
+        bad = np.unravel_index(np.argmin(finite), finite.shape)
+        where = f"{bad[-1]} of row {bad[0]}" if finite.ndim == 2 else bad[-1]
+        raise ModelError(f"{name} {where} is not finite: {values[bad]}")
 
 
 def check_plain(model: HmmModel, caller: str) -> None:

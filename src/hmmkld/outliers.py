@@ -73,9 +73,7 @@ def lof_scores(points, r: int) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
-    check_count("r", r)
-    if r >= n:
-        raise ModelError(f"neighbor count {r} out of range [1, {n})")
+    check_count("r", r, most=n - 1)
     dist, ordered = _distances(pts)
     return _lof(dist, ordered[:, r - 1])
 
@@ -151,10 +149,9 @@ class SimulationConfig:
 
     def __post_init__(self):
         self.source = ObservationSequence(np.asarray(self.source, dtype=float)).values
-        for name in ("subsample_size", "replicates", "em_restarts"):
+        check_count("subsample_size", self.subsample_size, most=self.source.size)
+        for name in ("replicates", "em_restarts"):
             check_count(name, getattr(self, name))
-        if self.subsample_size > self.source.size:
-            raise ModelError("subsample size exceeds source length")
         # LOF_R_RANGE[0] > NUM_STATES: this also leaves the fit more points than states.
         if self.subsample_size <= LOF_R_RANGE[0]:
             raise ModelError(

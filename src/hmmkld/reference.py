@@ -22,8 +22,8 @@ import itertools
 import numpy as np
 
 from .inference import forward_backward, posterior_marginals
-from .influence import InfluenceProfile, check_window, kl_divergence
-from .model import EvidenceImpossibleError, HmmModel, ObservationSequence, check_plain
+from .influence import InfluenceProfile, kl_divergence
+from .model import EvidenceImpossibleError, HmmModel, ObservationSequence, check_count, check_plain
 
 
 def enumerate_log_joint(model: HmmModel, obs: ObservationSequence):
@@ -235,7 +235,7 @@ def windowed_influence_log_space(
     check_plain(model, "windowed_influence_log_space")
     logw = model.log_emission_matrix(obs.values)
     n = logw.shape[0]
-    check_window("h", h, n)
+    check_count("h", h, most=n)
     log_star, log_bwd, log_alpha = _log_space_rows(model, logw)
     log_q_kernel = _log_normalized(log_alpha + (logw + log_bwd)[:, None, :])
     k = np.empty(n - h + 1)

@@ -234,6 +234,15 @@ class TestInfluence:
             )
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_window_one_is_the_pointwise_profile(self, tmp_path, series_csv, model_file):
+        # --window 1 runs kld_influence, not windowed_influence(h=1), so the
+        # two commands write the same file.
+        outs = [tmp_path / "plain.tsv", tmp_path / "h1.tsv"]
+        base = ["influence", str(model_file), str(series_csv), "--out"]
+        assert main(base + [str(outs[0])]) == 0
+        assert main(base + [str(outs[1]), "--window", "1"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
 
 class TestDetect:
     def test_kld_flags_injected_outliers(self, tmp_path, series_csv):

@@ -8,6 +8,7 @@ from hmmkld import (
     EvidenceImpossibleError,
     GaussianEmission,
     HmmModel,
+    ModelError,
     ObservationSequence,
     forward_backward,
     kld_influence,
@@ -23,6 +24,7 @@ from hmmkld.reference import (
 from hmmkld.training import _expected_transition_counts, _lane_map
 
 from conftest import (
+    ANNUAL_CHAIN,
     BELOW_DOUBLE_RANGE,
     FORWARD_BELOW_DOUBLE_RANGE,
     POSTERIOR_ROW_UNDERFLOW,
@@ -127,6 +129,28 @@ class TestForwardBackward:
         model = HmmModel(initial, transition, DiscreteEmission(table))
         with pytest.raises(EvidenceImpossibleError, match=message):
             forward_backward(model, ObservationSequence(np.array(symbols)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "call, where",
+        [
+            (lambda bad: forward_backward(ANNUAL_CHAIN, np.array([0.1, -0.2, bad, 0.3])), "2"),
+            (lambda bad: kld_influence(
+                _lane_map(lambda *a: np.stack(a), ANNUAL_CHAIN, ANNUAL_CHAIN),
+                np.array([[0.1, -0.2, 0.0, 0.3], [0.1, -0.2, bad, 0.3]]),
+            ), "2 of row 1"),
+            (lambda bad: forward_backward(
+                HmmModel([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], DiscreteEmission(np.eye(2))),
+                np.array([0.0, 1.0, bad]),
+            ), "2"),
+        ],
+        ids=["gaussian", "gaussian-stack", "discrete-float"],
+    )
+    def test_non_finite_raw_value_is_model_error(self, call, where, bad):
+        # A bare array skips ObservationSequence's check: the pass names the
+        # value, as that check does, rather than impossible evidence.
+        with pytest.raises(ModelError, match=f"^observation {where} is not finite: {bad}$"):
+            call(bad)
 
     def test_evidence_below_the_double_range_is_finite(self):
         # The plain backward step at index 0 multiplies two factors of

@@ -19,6 +19,7 @@ from hmmkld import (
     simulate,
     windowed_influence,
 )
+from hmmkld.reference import windowed_influence_log_space
 
 
 def two_state_discrete():
@@ -275,19 +276,28 @@ def loo_at(j):
         (lambda: sample(two_state_discrete(), 0, 0), "n must be >= 1, got 0"),
         (lambda: windowed_influence(two_state_discrete(), ObservationSequence([0, 1, 0]), 2.5),
          "h must be an integer, got 2.5"),
+        (lambda: windowed_influence(two_state_discrete(), ObservationSequence([0, 1, 0]), 4),
+         "^h must be <= 3, got 4$"),
+        (lambda: windowed_influence_log_space(
+            two_state_discrete(), ObservationSequence([0, 1, 0]), 4
+        ), "^h must be <= 3, got 4$"),
         (lambda: loo_at(-1), "j must be >= 0, got -1"),
         (lambda: loo_at(3), "j must be <= 2, got 3"),
         (lambda: loo_at(2.5), "j must be an integer, got 2.5"),
         (lambda: lof_scores(np.zeros((5, 2)), 2.5), "r must be an integer, got 2.5"),
         (lambda: lof_scores(np.zeros((5, 2)), True), "r must be an integer, got True"),
+        (lambda: lof_scores(np.zeros((5, 2)), 5), "^r must be <= 4, got 5$"),
+        (lambda: SimulationConfig(source=SOURCE, subsample_size=len(SOURCE) + 1),
+         "^subsample_size must be <= 60, got 61$"),
         (lambda: simulate(SimulationConfig(source=SOURCE), None, -1),
          "replicate must be >= 0, got -1"),
     ],
     ids=["em-float-seed", "em-bool-seed", "em-generator-seed", "simulation-seedsequence",
          "auc-float-seed", "sample-float-seed", "sample-numpy-bool-seed", "kmeans-float-seed",
-         "sample-float-n", "sample-zero-n", "window-float-h", "loo-negative-j",
-         "loo-j-past-the-end", "loo-float-j", "lof-float-r", "lof-bool-r",
-         "simulate-negative-replicate"],
+         "sample-float-n", "sample-zero-n", "window-float-h", "window-h-past-the-end",
+         "log-space-window-h-past-the-end", "loo-negative-j", "loo-j-past-the-end",
+         "loo-float-j", "lof-float-r", "lof-bool-r", "lof-r-past-the-end",
+         "simulation-subsample-past-the-source", "simulate-negative-replicate"],
 )
 def test_bad_integer_argument_is_model_error(call, message):
     with pytest.raises(ModelError, match=message):
