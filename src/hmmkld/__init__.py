@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .inference import ForwardBackward, forward_backward, posterior_marginals
 from .influence import (
     InfluenceProfile,
-    LeaveOneOutImpossibleError,
     WindowInfluenceProfile,
     forward_star,
     kl_divergence,
@@ -64,7 +63,6 @@ __all__ = [
     "GaussianEmission",
     "HmmModel",
     "InfluenceProfile",
-    "LeaveOneOutImpossibleError",
     "LofStatResult",
     "ModelError",
     "ObservationSequence",

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .influence import LeaveOneOutImpossibleError, kld_influence, windowed_influence
+from .influence import kld_influence, windowed_influence
 from .model import EvidenceImpossibleError, ModelError, check_count
 from .outliers import (
     METHODS,
@@ -360,11 +360,7 @@ def main(argv=None) -> int:
     except (DataFormatError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (
-        EvidenceImpossibleError,
-        LeaveOneOutImpossibleError,
-        DegenerateFitError,
-    ) as exc:
+    except (EvidenceImpossibleError, DegenerateFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -77,7 +77,7 @@ def forward_backward(
     The chunk length depends on n alone, so every lane's rows are
     bit-identical to a separate call on that lane and its series alone.
     An index that no state can emit raises ``EvidenceImpossibleError``, or
-    ``ModelError`` when its value is a NaN or an infinity.
+    ``ModelError`` when ``check_finite`` refuses its value.
     """
     values = obs.values if isinstance(obs, ObservationSequence) else obs
     logw = model.log_emission_matrix(values)
@@ -321,27 +321,23 @@ def _logsumexp(z: np.ndarray) -> np.ndarray:
     return np.log(np.exp(z - top).sum(axis=-1)) + top[..., 0]
 
 
-def _checked_product(a: np.ndarray, b: np.ndarray, refuse) -> tuple:
+def _checked_product(a: np.ndarray, b: np.ndarray, what: str, first: int = 0) -> tuple:
     """``a * b`` and its row sums (last axis, kept). The first index i along
     the second-to-last axis whose row sums to 0, in any lane, raises
-    ``refuse(i)``."""
+    ``EvidenceImpossibleError(f"{what} at index {first + i}")``."""
     prod = a * b
     total = np.add.reduce(prod, -1, None, None, True)
     if not total.all():
         zero = (total == 0.0).reshape(-1, total.shape[-2]).any(axis=0)
-        raise refuse(int(np.argmax(zero)))
+        raise EvidenceImpossibleError(f"{what} at index {first + int(np.argmax(zero))}")
     return prod, total
 
 
-def _normalized_product(a: np.ndarray, b: np.ndarray, refuse) -> np.ndarray:
+def _normalized_product(a: np.ndarray, b: np.ndarray, what: str, first: int = 0) -> np.ndarray:
     """The rows of ``a * b`` (last axis), each divided by its sum; a row
     that sums to 0 raises as in ``_checked_product``."""
-    prod, total = _checked_product(a, b, refuse)
+    prod, total = _checked_product(a, b, what, first)
     return np.divide(prod, total, out=prod)
-
-
-def _backward_underflow(i: int) -> EvidenceImpossibleError:
-    return EvidenceImpossibleError(f"the backward pass underflowed at index {i}")
 
 
 def posterior_marginals(fb: ForwardBackward) -> np.ndarray:
@@ -350,4 +346,4 @@ def posterior_marginals(fb: ForwardBackward) -> np.ndarray:
     The evidence is positive, so a row that sums to 0 is underflow and
     raises ``EvidenceImpossibleError``.
     """
-    return _normalized_product(fb.fwd, fb.bwd, _backward_underflow)
+    return _normalized_product(fb.fwd, fb.bwd, "the backward pass underflowed")

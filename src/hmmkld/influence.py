@@ -17,16 +17,6 @@ from .inference import forward_backward, posterior_marginals
 from .model import HmmModel, ObservationSequence, check_count, check_plain
 
 
-class LeaveOneOutImpossibleError(ArithmeticError):
-    """The leave-out evidence came out 0 in every state.
-
-    The true leave-out evidence is positive whenever the full evidence is:
-    a path that is positive with every observation stays positive with
-    some left out. So this error means that the product of the star
-    forward row and the backward row underflowed in every state.
-    """
-
-
 @dataclass(frozen=True)
 class InfluenceProfile:
     """Per-observation influence values and the marginals behind them."""
@@ -62,8 +52,9 @@ def forward_star(model: HmmModel, fb: ForwardBackward) -> np.ndarray:
     )
 
 
-def _leave_out_impossible(j: int) -> LeaveOneOutImpossibleError:
-    return LeaveOneOutImpossibleError(f"impossible leave-out evidence at index {j}")
+# The leave-out evidence is positive whenever the full evidence is, so a
+# zero leave-out row is underflow.
+_LEAVE_OUT = "impossible leave-out evidence"
 
 
 def loo_marginal(fstar: np.ndarray, fb: ForwardBackward, j: int) -> np.ndarray:
@@ -71,9 +62,8 @@ def loo_marginal(fstar: np.ndarray, fb: ForwardBackward, j: int) -> np.ndarray:
     from the star forward rows of ``forward_star``. Refuses with
     ``ModelError`` a j outside [0, n - 1]."""
     check_count("j", j, least=0, most=len(fb) - 1)
-    return _normalized_product(
-        fstar[..., j, None, :], fb.bwd[..., j, None, :], lambda _: _leave_out_impossible(j)
-    )[..., 0, :]
+    row = _normalized_product(fstar[..., j, None, :], fb.bwd[..., j, None, :], _LEAVE_OUT, j)
+    return row[..., 0, :]
 
 
 def kl_divergence(p, q):
@@ -107,7 +97,7 @@ def kld_influence(model: HmmModel, obs: ObservationSequence | np.ndarray) -> Inf
     profile, on one series or an (R, n) stack, is its lanes' own bit for bit."""
     fb = forward_backward(model, obs)
     marg = posterior_marginals(fb)
-    loo = _normalized_product(forward_star(model, fb), fb.bwd, _leave_out_impossible)
+    loo = _normalized_product(forward_star(model, fb), fb.bwd, _LEAVE_OUT)
     rows = zip(np.moveaxis(loo, -2, 0), np.moveaxis(marg, -2, 0))  # one call per index, all lanes
     k = np.moveaxis(np.array([kl_divergence(p, q) for p, q in rows]), 0, -1)
     return InfluenceProfile(k=k, loo_marginals=loo, marginals=marg)
@@ -151,7 +141,7 @@ def windowed_influence(
             np.divide(vb, top, out=vb, where=top > 0.0)
             log_v += np.log(top[:, 0])
         fstar = forward_star(model, fb)[:num_windows]
-        total = _checked_product(fstar, vb[0], _leave_out_impossible)[1][:, 0]
+        total = _checked_product(fstar, vb[0], _LEAVE_OUT)[1][:, 0]
         log_f = np.log(fstar) + log_w[:num_windows]
         log_gain = _logsumexp(log_f + log_u)
         # A window whose every term of u underflowed is taken again per state.

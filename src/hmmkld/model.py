@@ -14,6 +14,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 PROB_TOL = 1e-12
+# The largest magnitude an observation may have: its squares, and sums of
+# many of them, stay finite in double.
+MAX_ABS_VALUE = 1e150
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
@@ -22,7 +25,8 @@ class ModelError(ValueError):
 
 
 class EvidenceImpossibleError(ArithmeticError):
-    """Raised when the observed sequence has probability exactly zero."""
+    """Raised when the observed sequence has zero probability, or a row
+    product that the marginals or K need underflowed in every state."""
 
 
 def _as_prob_rows(a, name: str, row_axes: int) -> np.ndarray:
@@ -161,10 +165,12 @@ class GaussianEmission:
 
     def log_density_matrix(self, values: np.ndarray) -> np.ndarray:
         x = np.asarray(values, dtype=float)
-        z = x[..., None] - self.means[..., None, :]
-        z /= self.sigmas[..., None, :]
-        log_density = -0.5 * z
-        log_density *= z
+        # A z that overflows, or whose square does, gives weight 0.
+        with np.errstate(over="ignore"):
+            z = x[..., None] - self.means[..., None, :]
+            z /= self.sigmas[..., None, :]
+            log_density = -0.5 * z
+            log_density *= z
         log_density -= np.log(self.sigmas)[..., None, :]
         log_density -= _LOG_SQRT_2PI
         return log_density
@@ -271,15 +277,19 @@ def check_count(name: str, value, least: int = 1, most: Optional[int] = None) ->
 
 
 def check_finite(name: str, values: np.ndarray) -> None:
-    """Refuse with ``ModelError`` a 1-D ``values`` holding a NaN or an
-    infinity, naming the first one: ``{name} {index} is not finite: nan``.
-    On a 2-D stack of series it names the row too, row by row:
-    ``{name} {index} of row {row} is not finite: nan``."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        bad = np.unravel_index(np.argmin(finite), finite.shape)
-        where = f"{bad[-1]} of row {bad[0]}" if finite.ndim == 2 else bad[-1]
-        raise ModelError(f"{name} {where} is not finite: {values[bad]}")
+    """Refuse with ``ModelError`` a 1-D ``values`` holding a NaN, an
+    infinity or a magnitude above ``MAX_ABS_VALUE``, naming the first one:
+    ``{name} {index} is not finite: nan`` or ``{name} {index} exceeds
+    1e+150 in magnitude: 1e+200``. On a 2-D stack of series it names the
+    row too, row by row: ``{name} {index} of row {row} is not finite: nan``."""
+    ok = np.abs(values) <= MAX_ABS_VALUE  # False for NaN and +-inf as well
+    if not ok.all():
+        bad = np.unravel_index(np.argmin(ok), ok.shape)
+        where = f"{bad[-1]} of row {bad[0]}" if ok.ndim == 2 else bad[-1]
+        problem = "is not finite"
+        if np.isfinite(values[bad]):
+            problem = f"exceeds {MAX_ABS_VALUE:g} in magnitude"
+        raise ModelError(f"{name} {where} {problem}: {values[bad]}")
 
 
 def check_plain(model: HmmModel, caller: str) -> None:

@@ -47,8 +47,8 @@ class ZScoreResult:
 def z_value_scores(values, k: int, seed) -> ZScoreResult:
     """z-score of each point against the mean/std of its k-means cluster.
 
-    A NaN or infinite value is a ``ModelError`` naming the first one,
-    raised by ``kmeans_1d``.
+    A value that ``check_finite`` refuses is a ``ModelError`` naming the
+    first one, raised by ``kmeans_1d``.
     """
     x = np.asarray(values, dtype=float)
     assign, _ = kmeans_1d(x, k, seed)
@@ -110,8 +110,8 @@ class LofStatResult:
 
 def lof_statistic(values) -> LofStatResult:
     """Max-over-r LOF, r over LOF_R_RANGE, on (time, value) points with
-    both axes standardized. A NaN or infinite value is a ``ModelError``
-    naming the first one."""
+    both axes standardized. A value that ``check_finite`` refuses is a
+    ``ModelError`` naming the first one."""
     x = np.asarray(values, dtype=float)
     check_finite("value", x)
     n = x.size

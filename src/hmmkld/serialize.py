@@ -28,6 +28,7 @@ import numpy as np
 
 from .influence import InfluenceProfile, WindowInfluenceProfile
 from .model import (
+    MAX_ABS_VALUE,
     DiscreteEmission,
     GaussianEmission,
     HmmModel,
@@ -204,8 +205,11 @@ def parse_observations_csv(text: str, source: str = "<csv>") -> ObservationSeque
             value = float(raw)
         except ValueError:
             raise DataFormatError(f"{source}: line {lineno}: not a number: {raw!r}")
-        if not np.isfinite(value):
-            raise DataFormatError(f"{source}: line {lineno}: not a finite number: {raw!r}")
+        if not abs(value) <= MAX_ABS_VALUE:
+            problem = "not a finite number"
+            if np.isfinite(value):
+                problem = f"exceeds {MAX_ABS_VALUE:g} in magnitude"
+            raise DataFormatError(f"{source}: line {lineno}: {problem}: {raw!r}")
         values.append(value)
         if labels is not None:
             labels.append(row[0].strip())

@@ -37,8 +37,8 @@ def kmeans_1d(values, k: int, seed) -> tuple:
     """Lloyd's algorithm on 1-D data with k-means++ style seeding.
 
     Returns ``(assignments, means)`` with means sorted ascending and
-    assignments relabeled to match. Deterministic given the seed. A NaN or
-    infinite value is a ``ModelError`` naming the first one.
+    assignments relabeled to match. Deterministic given the seed. A value
+    that ``check_finite`` refuses is a ``ModelError`` naming the first one.
     """
     x = np.asarray(values, dtype=float)
     check_finite("value", x)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,14 @@ WINDOW_START_UNDERFLOW = HmmModel(
     [[0.0, 1.0, 0.0], [1e-200, 1e-200, 1.0], [0.0, 0.0, 1.0]],
     DiscreteEmission([[1e-200, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
 )
+
+
+def bad_value_refusal(bad: float) -> str:
+    """The pattern ``check_finite`` gives after the name and index of a bad
+    value: NaN and an infinity are not finite, a finite value is too large."""
+    if np.isfinite(bad):
+        return re.escape(f"exceeds 1e+150 in magnitude: {bad}")
+    return f"is not finite: {bad}"
 
 
 def random_discrete_model(rng, m, k, floor=0.1):

@@ -887,6 +887,34 @@ class TestNonFiniteInput:
         assert main(["detect", str(bad_csv), "--method", method, "--out", str(out)]) == 3
         assert "line 6: not a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "{csv}", "--out-model", "{out}"],
+            ["detect", "{csv}", "--method", "kld", "--out", "{out}"],
+            ["detect", "{csv}", "--method", "z", "--out", "{out}"],
+            ["detect", "{csv}", "--method", "lof", "--out", "{out}"],
+            ["simulate", "{csv}", "--replicates", "2", "--out", "{out}"],
+            ["influence", "{model}", "{csv}", "--out", "{out}"],
+        ],
+        ids=["train", "detect-kld", "detect-z", "detect-lof", "simulate", "influence"],
+    )
+    def test_huge_value_is_data_error(self, tmp_path, series_csv, model_file, capsys, argv):
+        # Value 7 squared overflows: k-means seeding died on NaN
+        # probabilities, and LOF's value axis collapsed, leaving it unflagged.
+        lines = series_csv.read_text().splitlines()
+        lines[8] = lines[8].split(",")[0] + ",1e200"
+        csv = tmp_path / "huge.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "existing.out"
+        out.write_text("kept\n")
+        fields = {"csv": csv, "model": model_file, "out": out}
+        assert main([a.format(**fields) for a in argv]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {csv}: line 9: exceeds 1e+150 in magnitude: '1e200'\n"
+        )
+        assert out.read_text() == "kept\n"
+
 
 class TestUnreadablePath:
     def test_directory_as_scores_is_data_error(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from conftest import (
     BELOW_DOUBLE_RANGE,
     FORWARD_BELOW_DOUBLE_RANGE,
     POSTERIOR_ROW_UNDERFLOW,
+    bad_value_refusal,
     random_discrete_model,
     random_gaussian_model,
 )
@@ -130,7 +132,7 @@ class TestForwardBackward:
         with pytest.raises(EvidenceImpossibleError, match=message):
             forward_backward(model, ObservationSequence(np.array(symbols)))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
     @pytest.mark.parametrize(
         "call, where",
         [
@@ -149,8 +151,22 @@ class TestForwardBackward:
     def test_non_finite_raw_value_is_model_error(self, call, where, bad):
         # A bare array skips ObservationSequence's check: the pass names the
         # value, as that check does, rather than impossible evidence.
-        with pytest.raises(ModelError, match=f"^observation {where} is not finite: {bad}$"):
+        with pytest.raises(ModelError, match=f"^observation {where} {bad_value_refusal(bad)}$"):
             call(bad)
+
+    def test_overflowing_gaussian_square_is_impossible_evidence(self):
+        # z = (1 - mean) / 1e-160 is finite but its square is not: the weight
+        # is 0 in every state, with no overflow warning before the refusal.
+        model = HmmModel(
+            [0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], GaussianEmission([0.0, 3.0], 1e-160)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                EvidenceImpossibleError,
+                match="^observation 0 has zero probability in every state$",
+            ):
+                forward_backward(model, ObservationSequence(np.array([1.0])))
 
     def test_evidence_below_the_double_range_is_finite(self):
         # The plain backward step at index 0 multiplies two factors of

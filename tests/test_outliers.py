@@ -24,6 +24,7 @@ from hmmkld import outliers
 from hmmkld.outliers import auc_table, scored_replicates
 from hmmkld.training import _fit_stack
 
+from conftest import bad_value_refusal
 from loop_reference import simulate_loop
 
 
@@ -64,11 +65,11 @@ class TestZValueScores:
         assert result.degenerate
         assert np.all(np.isfinite(result.scores))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
     def test_non_finite_value_rejected(self, bad):
         values = np.linspace(0.0, 1.0, 40)
         values[[17, 30]] = bad
-        with pytest.raises(ModelError, match=f"^value 17 is not finite: {bad}$"):
+        with pytest.raises(ModelError, match=f"^value 17 {bad_value_refusal(bad)}$"):
             z_value_scores(values, k=3, seed=0)
 
     def test_injected_outliers_raise_hit_rate(self):
@@ -171,12 +172,13 @@ class TestLofStatistic:
         with pytest.raises(ModelError):
             lof_statistic(np.arange(8.0))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
     def test_non_finite_value_rejected(self, bad):
-        # Either used to give NaN scores behind RuntimeWarnings.
+        # NaN and infinity used to give NaN scores behind RuntimeWarnings;
+        # 1e200 overflowed the value axis's std, so its point was not flagged.
         values = np.linspace(0.0, 1.0, 40)
         values[[17, 30]] = bad
-        with pytest.raises(ModelError, match=f"^value 17 is not finite: {bad}$"):
+        with pytest.raises(ModelError, match=f"^value 17 {bad_value_refusal(bad)}$"):
             lof_statistic(values)
 
     def test_injected_outlier_attains_maximum(self):

@@ -25,7 +25,6 @@ from hmmkld import (
     EvidenceImpossibleError,
     GaussianEmission,
     HmmModel,
-    LeaveOneOutImpossibleError,
     ObservationSequence,
     SimulationConfig,
     em_fit,
@@ -243,7 +242,7 @@ def test_no_influence_entry_point_returns_nan(problem, h):
         for run in entry_points:
             try:
                 arrays = run()
-            except (EvidenceImpossibleError, LeaveOneOutImpossibleError):
+            except EvidenceImpossibleError:
                 continue
             assert not any(np.isnan(a).any() for a in arrays)
 

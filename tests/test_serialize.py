@@ -124,9 +124,10 @@ class TestObservationsCsv:
         with pytest.raises(DataFormatError, match="line 3"):
             parse_observations_csv("1.0\n2.0\nxyz\n")
 
-    @pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity"])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity", "1e200"])
     def test_non_finite_value_reports_line(self, raw):
-        with pytest.raises(DataFormatError, match="line 3: not a finite number"):
+        problem = r"exceeds 1e\+150 in magnitude" if raw == "1e200" else "not a finite number"
+        with pytest.raises(DataFormatError, match=f"line 3: {problem}: '{raw}'$"):
             parse_observations_csv(f"label,value\n1880,1.0\n1881,{raw}\n")
 
 

@@ -21,6 +21,7 @@ from hmmkld import (
 
 from hmmkld.training import _fit_stack
 
+from conftest import bad_value_refusal
 from loop_reference import em_fit_loop
 
 
@@ -78,12 +79,12 @@ class TestKmeans1d:
         with pytest.raises(ModelError, match="seed must be >= 0, got -1"):
             kmeans_1d([0.0, 1.0, 2.0], 2, seed=-1)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
     def test_non_finite_value_rejected(self, bad):
-        # Either used to reach rng.choice as a NaN seeding probability.
+        # Each used to reach rng.choice as a NaN seeding probability.
         values = np.linspace(0.0, 1.0, 40)
         values[[17, 30]] = bad
-        with pytest.raises(ModelError, match=f"^value 17 is not finite: {bad}$"):
+        with pytest.raises(ModelError, match=f"^value 17 {bad_value_refusal(bad)}$"):
             kmeans_1d(values, 3, seed=0)
 
     def test_deterministic(self):
